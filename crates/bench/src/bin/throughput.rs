@@ -24,44 +24,26 @@
 //!
 //! With `--san-diff` it measures the overhead of the sanitizer
 //! self-validation oracle (`bvf-sancheck`) the same way: a paired
-//! 1-worker run with dual execution off and on. Every accepted program
+//! 1-worker run with dual execution off and on, on the defect-free
+//! kernel (`BugSet::none()`, unlike the campaign baseline). Every accepted program
 //! runs twice (sanitized and unsanitized) plus the comparator, so the
 //! expected slowdown is bounded by ~2x plus comparison cost. Results go
 //! to `bench_results/throughput_san.json`; `--check-regression PCT`
 //! compares the dual-run rate against the committed 1-core baseline
 //! (`bench_results/throughput_san_1core.json`).
 //!
-//! `--backend interp|compiled` selects the execution engine for the
-//! campaign-throughput rows (default interp, so the long-lived
-//! `throughput_baseline_1core.json` series stays comparable; the
-//! compiled series lives in `throughput_compiled_1core.json`). Rows
-//! whose worker count exceeds `available_parallelism` are tagged
+//! Rows whose worker count exceeds `available_parallelism` are tagged
 //! `oversubscribed: true` in the JSON and never feed
 //! `--check-regression` — a time-sliced rate measures the scheduler,
 //! not the code under test.
 //!
-//! With `--exec-micro` it instead measures the **pure execution-layer
-//! rate**: one verifier-accepted, sanitation-instrumented, execution-
-//! heavy program is loaded once per backend and test-run repeatedly, so
-//! the verifier (which dominates whole-campaign wall time) is out of
-//! the loop and the per-step dispatch cost — the thing the compiled
-//! backend exists to remove — is what the number measures. Both
-//! backends run the same program and must report identical steps and
-//! exec hashes. Results go to `bench_results/throughput_exec_micro.json`;
-//! `--check-regression PCT` gates (a) compiled ≥ 2x the committed
-//! interp exec-layer rate and (b) compiled within PCT of its own
-//! committed rate (`bench_results/throughput_exec_micro_1core.json`).
-//!
 //! Usage: `throughput [--iters N] [--seed S] [--workers 1,2,4,8] [--quick]
-//!                    [--backend interp|compiled] [--diff-oracle] [--san-diff] [--exec-micro]`
-
-use std::time::Instant;
+//!                    [--diff-oracle] [--san-diff]`
 
 use bvf::baseline::GeneratorKind;
 use bvf::fuzz::CampaignConfig;
 use bvf_bench::{arg_flag, arg_usize, render_table, save_json};
 use bvf_campaign::{run_sharded, ParallelConfig};
-use bvf_runtime::Backend;
 
 fn arg_worker_list(default: &[usize]) -> Vec<usize> {
     let args: Vec<String> = std::env::args().collect();
@@ -77,35 +59,13 @@ fn arg_worker_list(default: &[usize]) -> Vec<usize> {
         .unwrap_or_else(|| default.to_vec())
 }
 
-fn arg_backend() -> Backend {
-    let args: Vec<String> = std::env::args().collect();
-    match args
-        .iter()
-        .position(|a| a == "--backend")
-        .and_then(|i| args.get(i + 1))
-    {
-        None => Backend::Interp,
-        Some(spec) => Backend::from_name(spec).unwrap_or_else(|| {
-            eprintln!("unknown backend {spec:?}; known: interp, compiled");
-            std::process::exit(2);
-        }),
-    }
-}
-
-/// The committed campaign-baseline file for a backend. The interp file
-/// keeps its historical name so the series stays comparable across
-/// revisions that predate the compiled backend.
-fn campaign_baseline_file(backend: Backend) -> &'static str {
-    match backend {
-        Backend::Interp => "bench_results/throughput_baseline_1core.json",
-        Backend::Compiled => "bench_results/throughput_compiled_1core.json",
-    }
-}
+/// The committed 1-core campaign baseline.
+const CAMPAIGN_BASELINE: &str = "bench_results/throughput_baseline_1core.json";
 
 /// The committed 1-core baseline's 1-worker rate, if the file is
 /// readable from the current directory.
-fn committed_baseline_rate(backend: Backend) -> Option<f64> {
-    let text = std::fs::read_to_string(campaign_baseline_file(backend)).ok()?;
+fn committed_baseline_rate() -> Option<f64> {
+    let text = std::fs::read_to_string(CAMPAIGN_BASELINE).ok()?;
     let v: serde_json::Value = serde_json::from_str(&text).ok()?;
     v.get("points")?
         .as_array()?
@@ -147,7 +107,7 @@ fn diff_overhead(iters: usize, seed: u64, quick: bool) {
             format!("{} steps / {} regs", d.steps_checked, d.regs_checked),
         ],
     ];
-    let baseline = committed_baseline_rate(Backend::Interp);
+    let baseline = committed_baseline_rate();
     if let Some(b) = baseline {
         rows.push(vec![
             "committed 1-core baseline".to_string(),
@@ -295,168 +255,6 @@ fn san_overhead(iters: usize, seed: u64, quick: bool, max_regression_pct: usize)
     }
 }
 
-/// The exec-micro workload: a long straight-line body mixing scalar ALU
-/// with stack loads/stores, verifier-accepted and sanitation-
-/// instrumented, so one `test_run` spends thousands of steps in the
-/// dispatch loop under test.
-fn exec_micro_prog(units: usize) -> bvf_isa::Program {
-    use bvf_isa::{asm, AluOp, Reg, Size};
-    let mut insns = vec![
-        asm::mov64_imm(Reg::R0, 0),
-        asm::mov64_imm(Reg::R1, 1),
-        asm::mov64_imm(Reg::R2, 3),
-        asm::mov64_imm(Reg::R3, 7),
-    ];
-    for _ in 0..units {
-        insns.push(asm::alu64_reg(AluOp::Add, Reg::R0, Reg::R1));
-        insns.push(asm::alu64_imm(AluOp::Xor, Reg::R2, 0x5a));
-        insns.push(asm::alu64_reg(AluOp::Add, Reg::R3, Reg::R2));
-        insns.push(asm::stx_mem(Size::Dw, Reg::R10, Reg::R0, -8));
-        insns.push(asm::ldx_mem(Size::Dw, Reg::R4, Reg::R10, -8));
-        insns.push(asm::alu64_reg(AluOp::Add, Reg::R0, Reg::R4));
-    }
-    insns.push(asm::exit());
-    bvf_isa::Program::from_insns(insns)
-}
-
-/// One backend's exec-micro measurement.
-struct MicroPoint {
-    rate: f64,
-    wall_ns: u64,
-    steps: u64,
-    exec_hash: u64,
-}
-
-fn exec_micro_run(backend: Backend, execs: usize, units: usize) -> MicroPoint {
-    use bvf_kernel_sim::progtype::ProgType;
-    use bvf_kernel_sim::BugSet;
-    use bvf_runtime::Bpf;
-    use bvf_verifier::VerifierOpts;
-
-    let mut bpf = Bpf::new(BugSet::none(), VerifierOpts::default(), true).with_backend(backend);
-    let id = bpf
-        .prog_load(&exec_micro_prog(units), ProgType::SocketFilter, false)
-        .expect("exec-micro program must verify");
-    // One warmup run outside the timed window (page-faults the pool in,
-    // and on the compiled backend proves the image was lowered at load).
-    let warm = bpf.test_run(id).expect("exec-micro warmup");
-    assert!(warm.reports.is_empty(), "workload must run clean");
-
-    let t0 = Instant::now();
-    let mut steps = 0u64;
-    let mut exec_hash = 0u64;
-    for _ in 0..execs {
-        let rep = bpf.test_run(id).expect("exec-micro run");
-        steps = rep.exec.steps;
-        exec_hash = rep.exec.exec_hash;
-    }
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-    MicroPoint {
-        rate: execs as f64 / (wall_ns as f64 / 1e9),
-        wall_ns,
-        steps,
-        exec_hash,
-    }
-}
-
-/// The committed exec-micro baseline `(interp rate, compiled rate)`, if
-/// readable.
-fn committed_exec_micro_baseline() -> Option<(f64, f64)> {
-    let text = std::fs::read_to_string("bench_results/throughput_exec_micro_1core.json").ok()?;
-    let v: serde_json::Value = serde_json::from_str(&text).ok()?;
-    Some((
-        v.get("interp_execs_per_sec")?.as_f64()?,
-        v.get("compiled_execs_per_sec")?.as_f64()?,
-    ))
-}
-
-/// `--exec-micro` mode: pure execution-layer rate, interp vs compiled.
-fn exec_micro(execs: usize, quick: bool, max_regression_pct: usize) {
-    let units = 600; // ~3.6k executed instructions per test_run
-    let interp = exec_micro_run(Backend::Interp, execs, units);
-    let compiled = exec_micro_run(Backend::Compiled, execs, units);
-    // The bench double-checks the equivalence contract on its own
-    // workload: same steps, same observable execution.
-    assert_eq!(interp.steps, compiled.steps, "step accounting diverged");
-    assert_eq!(interp.exec_hash, compiled.exec_hash, "exec hash diverged");
-
-    let speedup = compiled.rate / interp.rate;
-    let rows = vec![
-        vec![
-            "interp".to_string(),
-            format!("{:.0}", interp.rate),
-            "1.00x".to_string(),
-            format!("{} steps/run", interp.steps),
-        ],
-        vec![
-            "compiled".to_string(),
-            format!("{:.0}", compiled.rate),
-            format!("{speedup:.2}x"),
-            format!("{} steps/run", compiled.steps),
-        ],
-    ];
-    println!(
-        "\nexecution-layer rate ({execs} runs, {} insns/run)\n",
-        interp.steps
-    );
-    println!(
-        "{}",
-        render_table(&["Backend", "Runs/sec", "Speedup", "Work"], &rows)
-    );
-
-    let baseline = committed_exec_micro_baseline();
-    save_json(
-        "throughput_exec_micro.json",
-        &serde_json::json!({
-            "execs": execs,
-            "units": units,
-            "steps_per_run": interp.steps,
-            "quick": quick,
-            "interp_execs_per_sec": interp.rate,
-            "compiled_execs_per_sec": compiled.rate,
-            "interp_wall_ns": interp.wall_ns,
-            "compiled_wall_ns": compiled.wall_ns,
-            "speedup": speedup,
-            "exec_hash": format!("{:#x}", interp.exec_hash),
-            "committed_interp_execs_per_sec": baseline.map(|(i, _)| i),
-            "committed_compiled_execs_per_sec": baseline.map(|(_, c)| c),
-        }),
-    );
-
-    if max_regression_pct > 0 {
-        let (base_interp, base_compiled) = baseline.unwrap_or_else(|| {
-            eprintln!(
-                "--check-regression needs a readable \
-                 bench_results/throughput_exec_micro_1core.json"
-            );
-            std::process::exit(2);
-        });
-        // The tentpole gate: the compiled backend must clear 2x the
-        // committed interp execution-layer rate. Measured-vs-committed
-        // (not measured-vs-measured) so a regression in either backend
-        // is visible against the recorded series.
-        let multiple = compiled.rate / base_interp;
-        assert!(
-            multiple >= 2.0,
-            "compiled backend below the 2x gate: {:.0} runs/s is {multiple:.2}x \
-             the committed interp rate {base_interp:.0}",
-            compiled.rate
-        );
-        // And the compiled series must not itself regress.
-        let ratio = compiled.rate / base_compiled;
-        let floor = 1.0 - max_regression_pct as f64 / 100.0;
-        assert!(
-            ratio >= floor,
-            "compiled exec-layer rate regressed beyond {max_regression_pct}%: \
-             {ratio:.2}x of the committed rate (floor {floor:.2}x)"
-        );
-        eprintln!(
-            "regression check passed: compiled {multiple:.2}x committed interp \
-             (gate 2.00x), {ratio:.2}x committed compiled (floor {floor:.2}x)"
-        );
-    }
-}
-
 fn main() {
     let quick = arg_flag("--quick");
     let iters = arg_usize("--iters", if quick { 2_000 } else { 20_000 });
@@ -473,21 +271,13 @@ fn main() {
         san_overhead(iters, seed, quick, max_regression_pct);
         return;
     }
-    if arg_flag("--exec-micro") {
-        let execs = arg_usize("--execs", if quick { 2_000 } else { 10_000 });
-        exec_micro(execs, quick, max_regression_pct);
-        return;
-    }
     let workers = arg_worker_list(if quick { &[1, 2] } else { &[1, 2, 4, 8] });
-    let backend = arg_backend();
 
-    let mut cfg = CampaignConfig::new(GeneratorKind::Bvf, iters, seed);
-    cfg.backend = backend;
+    let cfg = CampaignConfig::new(GeneratorKind::Bvf, iters, seed);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     eprintln!(
         "throughput: {iters} iterations, seed {seed}, worker counts {workers:?}, \
-         {} backend, {cores} CPUs available",
-        backend.name()
+         {cores} CPUs available"
     );
 
     let mut rows = Vec::new();
@@ -583,10 +373,10 @@ fn main() {
         )
     );
 
-    // Compare against the committed 1-core baseline of the same backend
-    // when a non-oversubscribed 1-worker point was measured and the
-    // baseline file is readable.
-    let baseline = committed_baseline_rate(backend);
+    // Compare against the committed 1-core baseline when a
+    // non-oversubscribed 1-worker point was measured and the baseline
+    // file is readable.
+    let baseline = committed_baseline_rate();
     let baseline_ratio = match (one_worker_rate, baseline) {
         (Some(rate), Some(base)) if base > 0.0 => {
             let ratio = rate / base;
@@ -603,7 +393,6 @@ fn main() {
         &serde_json::json!({
             "iters": iters,
             "seed": seed,
-            "backend": backend.name(),
             "available_parallelism": cores,
             // In-process benches always span one host; the field keeps
             // the header comparable with fabric-scale (multi-host)
@@ -620,8 +409,7 @@ fn main() {
         let ratio = baseline_ratio.unwrap_or_else(|| {
             eprintln!(
                 "--check-regression needs a non-oversubscribed 1-worker point \
-                 and a readable {}",
-                campaign_baseline_file(backend)
+                 and a readable {CAMPAIGN_BASELINE}"
             );
             std::process::exit(2);
         });

@@ -4,22 +4,22 @@
 //! bvf fuzz    [--iters N] [--seed S] [--generator bvf|syzkaller|buzzer|buzzer-random]
 //!             [--bugs all|none|<name,...>] [--version v5.15|v6.1|bpf-next]
 //!             [--no-sanitize] [--no-triage] [--no-feedback] [--diff-oracle] [--steer]
-//!             [--san-diff] [--san-defect LIST] [--backend interp|compiled]
+//!             [--san-diff] [--san-defect LIST]
 //!             [--workers N] [--batch-len N] [--exchange-every N] [--exchange-batch N]
 //!             [--chaos S] [--corpus-in FILE] [--corpus-out FILE]
 //!             [--trace-out FILE] [--json-out FILE] [--stats-every N]
 //!             [--snapshot-every N] [--save-findings DIR]
 //! bvf serve   --listen ADDR [--state DIR] [--lease-timeout SECS]
-//! bvf worker  --connect ADDR [--poll-ms N] [--max-batches N] [--backend interp|compiled]
+//! bvf worker  --connect ADDR [--poll-ms N] [--max-batches N]
 //! bvf report  <trace.jsonl>
 //! bvf corpus export --out FILE [fuzz options]
 //! bvf corpus import <snap.json>... [--out FILE]
 //! bvf corpus info   <snap.json>
 //! bvf replay  <scenario.json> [--bugs ...] [--version ...] [--no-sanitize]
-//!             [--diff-oracle] [--san-diff] [--san-defect LIST] [--backend B]
+//!             [--diff-oracle] [--san-diff] [--san-defect LIST]
 //! bvf minimize <scenario.json> [--bugs ...] [--version ...] [--no-sanitize]
-//!             [--diff-oracle] [--san-diff] [--san-defect LIST] [--out FILE] [--backend B]
-//! bvf sancheck [--matrix] [--version ...] [--json-out FILE] [--backend B]
+//!             [--diff-oracle] [--san-diff] [--san-defect LIST] [--jobs N] [--out FILE]
+//! bvf sancheck [--matrix] [--version ...] [--json-out FILE]
 //! bvf disasm  <scenario.json | program.bin>
 //! bvf bugs    # list injectable defects
 //! ```
@@ -53,15 +53,8 @@
 //! a state divergence. Replay and minimize must be given the same flag
 //! to reproduce Indicator #3 findings.
 //!
-//! `--backend interp|compiled` picks the execution engine. `compiled`
-//! (the `fuzz`/`worker` default) lowers each verifier-accepted image
-//! once into a closure-compiled direct-threaded program — operands
-//! pre-resolved, sanitation dispatch fused into the memory-op thunks —
-//! and is execution-equivalent to the interpreter: findings, step
-//! counts, exec hashes, and oracle verdicts are byte-identical across
-//! backends, so the flag is a throughput knob, never a result knob.
-//! One-shot `replay`/`minimize`/`sancheck` default to `interp`, where
-//! compiling a program run once would be pure overhead.
+//! Every command runs accepted programs on the one execution engine,
+//! the interpreter over pre-decoded images (`bvf_runtime::interp`).
 //!
 //! `--workers N` runs the campaign's lease batches across N
 //! work-stealing threads (0 = one per available CPU) with merged
@@ -107,13 +100,10 @@ use bvf::fuzz::{
 use bvf::minimize::{minimize_finding_jobs, minimize_finding_san};
 use bvf::oracle::{judge, triage_san_defects, triage_with_defects};
 use bvf::sanmatrix::run_matrix;
-use bvf::scenario::{
-    run_scenario_backend, run_scenario_diff_backend, run_scenario_san_diff_backend, Scenario,
-};
+use bvf::scenario::{run_scenario, run_scenario_diff, run_scenario_san_diff, Scenario};
 use bvf_campaign::{run_sharded, ParallelConfig};
 use bvf_fabric::{run_worker, Client, Coordinator, CoordinatorOptions, FabricError, WorkerOptions};
 use bvf_kernel_sim::{BugId, BugSet, KernelReport, SanDefect, SanDefectSet};
-use bvf_runtime::Backend;
 use bvf_telemetry::{JsonlSink, NullSink, Registry, Telemetry, TraceEvent, TraceSink};
 use bvf_verifier::KernelVersion;
 
@@ -122,22 +112,22 @@ fn usage() -> ! {
         "usage:\n  \
          bvf fuzz   [--iters N] [--seed S] [--generator G] [--bugs SPEC] [--version V]\n             \
          [--no-sanitize] [--no-triage] [--no-feedback] [--diff-oracle] [--steer]\n             \
-         [--san-diff] [--san-defect LIST] [--backend interp|compiled] [--workers N]\n             \
+         [--san-diff] [--san-defect LIST] [--workers N]\n             \
          [--batch-len N] [--exchange-every N] [--exchange-batch N]\n             \
          [--chaos S] [--corpus-in FILE] [--corpus-out FILE]\n             \
          [--trace-out FILE] [--json-out FILE] [--stats-every N]\n             \
          [--snapshot-every N] [--save-findings DIR] [--remote ADDR]\n  \
          bvf serve --listen ADDR [--state DIR] [--lease-timeout SECS]\n  \
-         bvf worker --connect ADDR [--poll-ms N] [--max-batches N] [--backend B]\n  \
+         bvf worker --connect ADDR [--poll-ms N] [--max-batches N]\n  \
          bvf report <trace.jsonl>\n  \
          bvf corpus export --out FILE [fuzz options]\n  \
          bvf corpus import <snap.json>... [--out FILE]\n  \
          bvf corpus info <snap.json>\n  \
          bvf replay <scenario.json> [--bugs SPEC] [--version V] [--no-sanitize] [--diff-oracle]\n             \
-         [--san-diff] [--san-defect LIST] [--backend B]\n  \
+         [--san-diff] [--san-defect LIST]\n  \
          bvf minimize <scenario.json> [--bugs SPEC] [--version V] [--no-sanitize]\n             \
-         [--diff-oracle] [--san-diff] [--san-defect LIST] [--jobs N] [--out FILE] [--backend B]\n  \
-         bvf sancheck [--matrix] [--version V] [--json-out FILE] [--backend B]\n  \
+         [--diff-oracle] [--san-diff] [--san-defect LIST] [--jobs N] [--out FILE]\n  \
+         bvf sancheck [--matrix] [--version V] [--json-out FILE]\n  \
          bvf disasm <scenario.json|program.bin>\n  \
          bvf bugs"
     );
@@ -257,21 +247,6 @@ fn parse_san_defects(spec: &str) -> SanDefectSet {
     set
 }
 
-/// `--backend` for the command at hand; `default` is the command's
-/// documented default (compiled for campaigns, interp for one-shot
-/// replays — both produce byte-identical results by the equivalence
-/// contract, so the default is a performance choice, not a behavioral
-/// one).
-fn parse_backend(args: &Args, default: Backend) -> Backend {
-    match args.opt("--backend") {
-        None => default,
-        Some(spec) => Backend::from_name(spec).unwrap_or_else(|| {
-            eprintln!("unknown backend {spec:?}; known: interp, compiled");
-            exit(2);
-        }),
-    }
-}
-
 fn parse_generator(spec: &str) -> GeneratorKind {
     match spec {
         "bvf" => GeneratorKind::Bvf,
@@ -347,7 +322,6 @@ fn campaign_config(args: &Args) -> CampaignConfig {
     cfg.diff_oracle = args.flag("--diff-oracle");
     cfg.steer = args.flag("--steer");
     cfg.san_diff = args.flag("--san-diff");
-    cfg.backend = parse_backend(args, Backend::Compiled);
     if let Some(spec) = args.opt("--san-defect") {
         cfg.san_defects = parse_san_defects(spec);
         if !cfg.san_diff {
@@ -696,9 +670,6 @@ fn cmd_worker(args: &Args) {
             .parsed("--poll-ms")
             .map_or(defaults.poll, Duration::from_millis),
         max_batches: args.parsed("--max-batches"),
-        backend_override: args
-            .opt("--backend")
-            .map(|_| parse_backend(args, Backend::Compiled)),
         ..defaults
     };
     let stop = AtomicBool::new(false);
@@ -777,13 +748,12 @@ fn cmd_replay(args: &Args, path: &str) {
         scenario.trigger,
         scenario.prog.dump()
     );
-    let backend = parse_backend(args, Backend::Interp);
     let out = if san_diff {
-        run_scenario_san_diff_backend(&scenario, &bugs, version, san_defects, backend)
+        run_scenario_san_diff(&scenario, &bugs, version, san_defects)
     } else if diff {
-        run_scenario_diff_backend(&scenario, &bugs, version, sanitize, backend)
+        run_scenario_diff(&scenario, &bugs, version, sanitize)
     } else {
-        run_scenario_backend(&scenario, &bugs, version, sanitize, backend)
+        run_scenario(&scenario, &bugs, version, sanitize)
     };
     match &out.load {
         Ok(_) => println!(
@@ -872,11 +842,10 @@ fn cmd_minimize(args: &Args, path: &str) {
         .unwrap_or(1)
         .max(1);
 
-    let backend = parse_backend(args, Backend::Interp);
     let minimized = if san_diff {
-        minimize_finding_san(&scenario, &bugs, version, san_defects, jobs, backend)
+        minimize_finding_san(&scenario, &bugs, version, san_defects, jobs)
     } else {
-        minimize_finding_jobs(&scenario, &bugs, version, sanitize, diff, jobs, backend)
+        minimize_finding_jobs(&scenario, &bugs, version, sanitize, diff, jobs)
     };
     let out = match minimized {
         Ok(out) => out,
@@ -916,13 +885,9 @@ fn cmd_sancheck(args: &Args) {
     // `--matrix` is the documented spelling; a bare `bvf sancheck` runs
     // the same defect matrix.
     let _ = args.flag("--matrix");
-    let backend = parse_backend(args, Backend::Interp);
 
-    let out = run_matrix(version, backend);
-    println!(
-        "sanitizer-defect matrix ({version:?}, {} backend):",
-        backend.name()
-    );
+    let out = run_matrix(version);
+    println!("sanitizer-defect matrix ({version:?}):");
     let mut divergences = 0u64;
     let mut kinds: BTreeMap<String, u64> = BTreeMap::new();
     for r in &out.results {

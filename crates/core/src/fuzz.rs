@@ -131,10 +131,8 @@ pub struct CampaignConfig {
     /// `bvf sancheck` matrix; empty for real campaigns, where any
     /// divergence indicts the sanitizer itself).
     pub san_defects: SanDefectSet,
-    /// Which execution engine runs accepted programs
-    /// (`bvf fuzz --backend`). Compiled is the campaign default: images
-    /// are lowered once at load time, next to the pre-decode, and the
-    /// two backends produce byte-identical findings.
+    /// The execution engine; the interpreter is the only one. Kept only
+    /// for the frozen benchmark API (see [`Backend`]).
     pub backend: Backend,
 }
 
@@ -160,7 +158,7 @@ impl CampaignConfig {
             steer: false,
             san_diff: false,
             san_defects: SanDefectSet::none(),
-            backend: Backend::Compiled,
+            backend: Backend::Interp,
         }
     }
 }

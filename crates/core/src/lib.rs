@@ -55,7 +55,6 @@ pub use oracle::{
 };
 pub use sanmatrix::{run_matrix, run_matrix_case, MatrixCaseResult, MatrixOutcome};
 pub use scenario::{
-    run_scenario, run_scenario_backend, run_scenario_diff, run_scenario_diff_backend,
-    run_scenario_san_diff, run_scenario_san_diff_backend, run_scenario_san_diff_with,
-    run_scenario_scratch, run_scenario_with, Scenario, ScenarioOutcome, Trigger,
+    run_scenario, run_scenario_diff, run_scenario_san_diff, run_scenario_san_diff_with,
+    run_scenario_scratch, Scenario, ScenarioOutcome, Trigger,
 };

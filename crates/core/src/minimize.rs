@@ -17,14 +17,11 @@ use std::sync::Mutex;
 
 use bvf_isa::{asm, Program};
 use bvf_kernel_sim::{BugSet, SanDefectSet};
-use bvf_runtime::Backend;
 use bvf_verifier::KernelVersion;
 
 use crate::fuzz::report_signature;
 use crate::oracle::judge;
-use crate::scenario::{
-    run_scenario_backend, run_scenario_diff_backend, run_scenario_san_diff_backend, Scenario,
-};
+use crate::scenario::{run_scenario, run_scenario_diff, run_scenario_san_diff, Scenario};
 
 /// What one minimization run produced.
 #[derive(Debug)]
@@ -117,15 +114,7 @@ pub fn minimize_finding(
     sanitize: bool,
     diff_oracle: bool,
 ) -> Result<MinimizeOutcome, String> {
-    minimize_finding_jobs(
-        scenario,
-        bugs,
-        version,
-        sanitize,
-        diff_oracle,
-        1,
-        Backend::Interp,
-    )
+    minimize_finding_jobs(scenario, bugs, version, sanitize, diff_oracle, 1)
 }
 
 /// Like [`minimize_finding`], with candidate replays spread across
@@ -138,7 +127,6 @@ pub fn minimize_finding(
 /// replays run concurrently, never which reduction step is taken.
 /// `jobs == 1` evaluates lazily (stopping at the first success) exactly
 /// like the classic serial loop.
-#[allow(clippy::too_many_arguments)]
 pub fn minimize_finding_jobs(
     scenario: &Scenario,
     bugs: &BugSet,
@@ -146,13 +134,12 @@ pub fn minimize_finding_jobs(
     sanitize: bool,
     diff_oracle: bool,
     jobs: usize,
-    backend: Backend,
 ) -> Result<MinimizeOutcome, String> {
     let signature_of = |s: &Scenario| -> Option<String> {
         let out = if diff_oracle {
-            run_scenario_diff_backend(s, bugs, version, sanitize, backend)
+            run_scenario_diff(s, bugs, version, sanitize)
         } else {
-            run_scenario_backend(s, bugs, version, sanitize, backend)
+            run_scenario(s, bugs, version, sanitize)
         };
         judge(s, &out).map(|f| report_signature(f.indicator, &f.reports))
     };
@@ -161,8 +148,7 @@ pub fn minimize_finding_jobs(
 
 /// [`minimize_finding_jobs`] for findings produced by the `bvf-sancheck`
 /// dual-execution oracle (`bvf minimize --san-diff`): every candidate is
-/// replayed sanitized *and* unsanitized via
-/// [`run_scenario_san_diff`](crate::scenario::run_scenario_san_diff),
+/// replayed sanitized *and* unsanitized via [`run_scenario_san_diff`],
 /// so `sandiv:*` signature components are reproducible and the reduction
 /// keeps exactly the instructions the divergence depends on.
 pub fn minimize_finding_san(
@@ -171,10 +157,9 @@ pub fn minimize_finding_san(
     version: KernelVersion,
     defects: SanDefectSet,
     jobs: usize,
-    backend: Backend,
 ) -> Result<MinimizeOutcome, String> {
     let signature_of = |s: &Scenario| -> Option<String> {
-        let out = run_scenario_san_diff_backend(s, bugs, version, defects, backend);
+        let out = run_scenario_san_diff(s, bugs, version, defects);
         judge(s, &out).map(|f| report_signature(f.indicator, &f.reports))
     };
     minimize_with(scenario, jobs, &signature_of)
@@ -312,22 +297,14 @@ mod tests {
         assert_eq!(min_insns[0], ja, "leading junk mov must be neutralized");
 
         // Replaying the minimized scenario reproduces the signature.
-        let replay = run_scenario_backend(
-            &out.scenario,
-            &bugs,
-            KernelVersion::BpfNext,
-            true,
-            Backend::Interp,
-        );
+        let replay = run_scenario(&out.scenario, &bugs, KernelVersion::BpfNext, true);
         let f = judge(&out.scenario, &replay).expect("minimized finding must reproduce");
         assert_eq!(report_signature(f.indicator, &f.reports), out.signature);
     }
 
     /// Round-trip on the committed Indicator #3 fixture: the parallel,
     /// cache-backed path must reproduce the serial result exactly, and
-    /// the memo cache must actually absorb repeated candidates. The
-    /// parallel run replays on the compiled backend, so this also pins
-    /// that a minimization is backend-invariant end to end.
+    /// the memo cache must actually absorb repeated candidates.
     #[test]
     fn parallel_jobs_and_cache_reproduce_serial_result() {
         let path = concat!(
@@ -338,26 +315,11 @@ mod tests {
         let scenario: Scenario = serde_json::from_slice(&data).expect("fixture parses");
         let bugs = BugSet::all();
 
-        let serial = minimize_finding_jobs(
-            &scenario,
-            &bugs,
-            KernelVersion::BpfNext,
-            true,
-            true,
-            1,
-            Backend::Interp,
-        )
-        .expect("fixture must minimize serially");
-        let parallel = minimize_finding_jobs(
-            &scenario,
-            &bugs,
-            KernelVersion::BpfNext,
-            true,
-            true,
-            4,
-            Backend::Compiled,
-        )
-        .expect("fixture must minimize in parallel");
+        let serial = minimize_finding_jobs(&scenario, &bugs, KernelVersion::BpfNext, true, true, 1)
+            .expect("fixture must minimize serially");
+        let parallel =
+            minimize_finding_jobs(&scenario, &bugs, KernelVersion::BpfNext, true, true, 4)
+                .expect("fixture must minimize in parallel");
 
         assert_eq!(serial.signature, parallel.signature);
         assert_eq!(serial.units_kept, parallel.units_kept);
@@ -374,13 +336,7 @@ mod tests {
 
         // Replaying the minimized scenario under the same configuration
         // reproduces the signature (the property CI pins end to end).
-        let replay = run_scenario_diff_backend(
-            &serial.scenario,
-            &bugs,
-            KernelVersion::BpfNext,
-            true,
-            Backend::Interp,
-        );
+        let replay = run_scenario_diff(&serial.scenario, &bugs, KernelVersion::BpfNext, true);
         let f = judge(&serial.scenario, &replay).expect("minimized finding reproduces");
         assert_eq!(report_signature(f.indicator, &f.reports), serial.signature);
     }

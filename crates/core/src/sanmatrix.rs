@@ -18,11 +18,10 @@
 
 use bvf_isa::Program;
 use bvf_kernel_sim::{KernelReport, SanDefect, SanDefectSet, SanDivergenceKind};
-use bvf_runtime::Backend;
 use bvf_sancheck::{matrix_cases, MatrixCase};
 use bvf_verifier::KernelVersion;
 
-use crate::scenario::{run_scenario_san_diff_backend, Scenario, ScenarioOutcome, Trigger};
+use crate::scenario::{run_scenario_san_diff, Scenario, ScenarioOutcome, Trigger};
 
 /// The outcome of one matrix case.
 #[derive(Debug, Clone)]
@@ -98,30 +97,16 @@ fn divergence_kind(outcome: &ScenarioOutcome) -> Option<SanDivergenceKind> {
 }
 
 /// Runs one matrix case: dual execution with the defect armed, then
-/// healed, and the verdict-flip check between them. `backend` picks the
-/// execution engine, except for cases that pin their own (compile-layer
-/// defects only exist in the compiled engine).
-pub fn run_matrix_case(
-    case: &MatrixCase,
-    version: KernelVersion,
-    backend: Backend,
-) -> MatrixCaseResult {
-    let backend = case.backend.unwrap_or(backend);
+/// healed, and the verdict-flip check between them.
+pub fn run_matrix_case(case: &MatrixCase, version: KernelVersion) -> MatrixCaseResult {
     let scenario = case_scenario(case);
-    let armed = run_scenario_san_diff_backend(
+    let armed = run_scenario_san_diff(
         &scenario,
         &case.bugs,
         version,
         SanDefectSet::only(case.defect),
-        backend,
     );
-    let healed = run_scenario_san_diff_backend(
-        &scenario,
-        &case.bugs,
-        version,
-        SanDefectSet::none(),
-        backend,
-    );
+    let healed = run_scenario_san_diff(&scenario, &case.bugs, version, SanDefectSet::none());
     let kind_armed = divergence_kind(&armed);
     let kind_healed = divergence_kind(&healed);
     MatrixCaseResult {
@@ -138,13 +123,12 @@ pub fn run_matrix_case(
     }
 }
 
-/// Runs the whole committed matrix on the given backend (cases that pin
-/// their own backend ignore it).
-pub fn run_matrix(version: KernelVersion, backend: Backend) -> MatrixOutcome {
+/// Runs the whole committed matrix.
+pub fn run_matrix(version: KernelVersion) -> MatrixOutcome {
     MatrixOutcome {
         results: matrix_cases()
             .iter()
-            .map(|c| run_matrix_case(c, version, backend))
+            .map(|c| run_matrix_case(c, version))
             .collect(),
     }
 }
@@ -154,10 +138,10 @@ mod tests {
     use super::*;
 
     /// The acceptance bar of the whole subsystem: every seeded sanitizer
-    /// defect class is caught by its committed reproducer, 9/9.
+    /// defect class is caught by its committed reproducer, 8/8.
     #[test]
     fn matrix_catches_every_defect_class() {
-        let out = run_matrix(KernelVersion::BpfNext, Backend::Interp);
+        let out = run_matrix(KernelVersion::BpfNext);
         assert_eq!(out.results.len(), SanDefect::ALL.len());
         for r in &out.results {
             assert!(
@@ -175,16 +159,6 @@ mod tests {
         assert_eq!(out.hits().len(), SanDefect::ALL.len());
     }
 
-    /// The same bar on the compiled engine: every defect class flips
-    /// there too, pinning that fused sanitation thunks preserve the
-    /// dual-run oracle end to end.
-    #[test]
-    fn matrix_catches_every_defect_class_compiled() {
-        let out = run_matrix(KernelVersion::BpfNext, Backend::Compiled);
-        assert_eq!(out.results.len(), SanDefect::ALL.len());
-        assert!(out.escaped().is_empty(), "escaped: {:?}", out.escaped());
-    }
-
     /// Matrix reproducers are honest dual-run programs: with no defect
     /// armed, the false-positive cases must run clean — divergences they
     /// show under the defect come from the defect, not the program.
@@ -194,12 +168,11 @@ mod tests {
             if !case.divergence_with_defect {
                 continue;
             }
-            let out = run_scenario_san_diff_backend(
+            let out = run_scenario_san_diff(
                 &case_scenario(&case),
                 &case.bugs,
                 KernelVersion::BpfNext,
                 SanDefectSet::none(),
-                case.backend.unwrap_or(Backend::Interp),
             );
             assert!(
                 out.accepted(),

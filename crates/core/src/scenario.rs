@@ -149,29 +149,7 @@ pub fn run_scenario(
     version: KernelVersion,
     sanitize: bool,
 ) -> ScenarioOutcome {
-    run_scenario_inner(
-        scenario,
-        bugs,
-        version,
-        sanitize,
-        false,
-        true,
-        Backend::Interp,
-        None,
-    )
-}
-
-/// [`run_scenario`] on an explicit execution backend.
-pub fn run_scenario_backend(
-    scenario: &Scenario,
-    bugs: &BugSet,
-    version: KernelVersion,
-    sanitize: bool,
-    backend: Backend,
-) -> ScenarioOutcome {
-    run_scenario_inner(
-        scenario, bugs, version, sanitize, false, true, backend, None,
-    )
+    run_scenario_inner(scenario, bugs, version, sanitize, false, true, None)
 }
 
 /// Like [`run_scenario`], but with the abstract-vs-concrete differential
@@ -186,61 +164,19 @@ pub fn run_scenario_diff(
     version: KernelVersion,
     sanitize: bool,
 ) -> ScenarioOutcome {
-    run_scenario_inner(
-        scenario,
-        bugs,
-        version,
-        sanitize,
-        true,
-        true,
-        Backend::Interp,
-        None,
-    )
+    run_scenario_inner(scenario, bugs, version, sanitize, true, true, None)
 }
 
-/// [`run_scenario_diff`] on an explicit execution backend. The concrete
-/// register trace the differential oracle checks is recorded by that
-/// backend — part of the interp/compiled equivalence contract.
-pub fn run_scenario_diff_backend(
-    scenario: &Scenario,
-    bugs: &BugSet,
-    version: KernelVersion,
-    sanitize: bool,
-    backend: Backend,
-) -> ScenarioOutcome {
-    run_scenario_inner(scenario, bugs, version, sanitize, true, true, backend, None)
-}
-
-/// Like [`run_scenario`]/[`run_scenario_diff`], with every verifier
-/// knob explicit. `prune_index` toggles the fingerprint-bucketed
-/// explored-state index (a pure filter: verdicts and findings are
-/// identical either way; only the number of `states_equal` calls
-/// changes). Exposed for the determinism tests and `prune_bench`.
-pub fn run_scenario_with(
-    scenario: &Scenario,
-    bugs: &BugSet,
-    version: KernelVersion,
-    sanitize: bool,
-    diff_oracle: bool,
-    prune_index: bool,
-    backend: Backend,
-) -> ScenarioOutcome {
-    run_scenario_inner(
-        scenario,
-        bugs,
-        version,
-        sanitize,
-        diff_oracle,
-        prune_index,
-        backend,
-        None,
-    )
-}
-
-/// [`run_scenario_with`] reusing an [`ExecScratch`]'s buffers (memory
-/// pool, KASAN shadow, trace steps) instead of allocating fresh ones —
-/// the campaign's per-iteration hot path. Recycling is invisible:
-/// outcomes are bit-identical to the scratch-free variants.
+/// [`run_scenario`]/[`run_scenario_diff`] with every verifier knob
+/// explicit, reusing an [`ExecScratch`]'s buffers (memory pool, KASAN
+/// shadow, trace steps) instead of allocating fresh ones — the
+/// campaign's per-iteration hot path. Recycling is invisible: outcomes
+/// are bit-identical to the scratch-free variants. `prune_index`
+/// toggles the fingerprint-bucketed explored-state index (a pure
+/// filter: verdicts and findings are identical either way).
+///
+/// The ignored `_backend` argument is kept only for the frozen
+/// benchmark API (see [`Backend`]).
 #[allow(clippy::too_many_arguments)]
 pub fn run_scenario_scratch(
     scenario: &Scenario,
@@ -249,7 +185,7 @@ pub fn run_scenario_scratch(
     sanitize: bool,
     diff_oracle: bool,
     prune_index: bool,
-    backend: Backend,
+    _backend: Backend,
     scratch: &mut ExecScratch,
 ) -> ScenarioOutcome {
     run_scenario_inner(
@@ -259,7 +195,6 @@ pub fn run_scenario_scratch(
         sanitize,
         diff_oracle,
         prune_index,
-        backend,
         Some(scratch),
     )
 }
@@ -280,7 +215,7 @@ pub fn run_scenario_san_diff(
     version: KernelVersion,
     defects: SanDefectSet,
 ) -> ScenarioOutcome {
-    san_diff_inner(
+    run_scenario_san_diff_with(
         scenario,
         bugs,
         version,
@@ -292,21 +227,11 @@ pub fn run_scenario_san_diff(
     )
 }
 
-/// [`run_scenario_san_diff`] on an explicit execution backend — both
-/// the sanitized and the unsanitized run use it, so the step-delta and
-/// exec-hash contract is checked within one engine.
-pub fn run_scenario_san_diff_backend(
-    scenario: &Scenario,
-    bugs: &BugSet,
-    version: KernelVersion,
-    defects: SanDefectSet,
-    backend: Backend,
-) -> ScenarioOutcome {
-    san_diff_inner(scenario, bugs, version, defects, false, true, backend, None)
-}
-
-/// [`run_scenario_san_diff`] with the diff oracle, backend, and scratch
-/// knobs explicit (the campaign's `--san-diff` hot path).
+/// [`run_scenario_san_diff`] with the diff oracle and scratch knobs
+/// explicit (the campaign's `--san-diff` hot path).
+///
+/// The ignored `_backend` argument is kept only for the frozen
+/// benchmark API (see [`Backend`]).
 #[allow(clippy::too_many_arguments)]
 pub fn run_scenario_san_diff_with(
     scenario: &Scenario,
@@ -315,30 +240,7 @@ pub fn run_scenario_san_diff_with(
     defects: SanDefectSet,
     diff_oracle: bool,
     prune_index: bool,
-    backend: Backend,
-    scratch: Option<&mut ExecScratch>,
-) -> ScenarioOutcome {
-    san_diff_inner(
-        scenario,
-        bugs,
-        version,
-        defects,
-        diff_oracle,
-        prune_index,
-        backend,
-        scratch,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn san_diff_inner(
-    scenario: &Scenario,
-    bugs: &BugSet,
-    version: KernelVersion,
-    defects: SanDefectSet,
-    diff_oracle: bool,
-    prune_index: bool,
-    backend: Backend,
+    _backend: Backend,
     mut scratch: Option<&mut ExecScratch>,
 ) -> ScenarioOutcome {
     let mut primary = run_scenario_defects(
@@ -349,7 +251,6 @@ fn san_diff_inner(
         diff_oracle,
         prune_index,
         defects,
-        backend,
         scratch.as_deref_mut(),
     );
     let secondary = run_scenario_defects(
@@ -360,7 +261,6 @@ fn san_diff_inner(
         false,
         prune_index,
         defects,
-        backend,
         scratch,
     );
 
@@ -412,7 +312,6 @@ fn san_diff_inner(
     primary
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_scenario_inner(
     scenario: &Scenario,
     bugs: &BugSet,
@@ -420,7 +319,6 @@ fn run_scenario_inner(
     sanitize: bool,
     diff_oracle: bool,
     prune_index: bool,
-    backend: Backend,
     scratch: Option<&mut ExecScratch>,
 ) -> ScenarioOutcome {
     run_scenario_defects(
@@ -431,7 +329,6 @@ fn run_scenario_inner(
         diff_oracle,
         prune_index,
         SanDefectSet::none(),
-        backend,
         scratch,
     )
 }
@@ -445,7 +342,6 @@ fn run_scenario_defects(
     diff_oracle: bool,
     prune_index: bool,
     defects: SanDefectSet,
-    backend: Backend,
     mut scratch: Option<&mut ExecScratch>,
 ) -> ScenarioOutcome {
     let opts = VerifierOpts {
@@ -461,7 +357,7 @@ fn run_scenario_defects(
         None => bvf_kernel_sim::Kernel::with_pool_size(bugs.clone(), FUZZ_POOL_SIZE),
     };
     kernel.mm.san_defects = defects;
-    let mut bpf = Bpf::with_kernel(kernel, opts, sanitize).with_backend(backend);
+    let mut bpf = Bpf::with_kernel(kernel, opts, sanitize);
     for def in standard_maps() {
         bpf.map_create(def).expect("standard maps fit");
     }
@@ -477,10 +373,9 @@ fn run_scenario_defects(
         }
         (r, _) => r,
     };
-    let verifier_insns = match &load {
-        Ok(id) => bpf.progs[*id as usize].xlated.insns_processed,
-        Err(_) => 0,
-    };
+    // Rejected loads report the work done too (the verifier carries it
+    // through the error path in the phase timings).
+    let verifier_insns = timings.insns_processed as usize;
 
     // The per-instruction abstract states the verifier proved for this
     // program (snapshots enabled only in diff-oracle mode).
@@ -624,6 +519,38 @@ mod tests {
         let out = run_scenario(&s, &BugSet::none(), KernelVersion::BpfNext, true);
         assert!(!out.accepted());
         assert!(!out.cov.is_empty());
+    }
+
+    #[test]
+    fn rejected_loads_report_processed_insns() {
+        let reject = |insns| {
+            let s = Scenario::test_run(Program::from_insns(insns), ProgType::SocketFilter);
+            let out = run_scenario(&s, &BugSet::none(), KernelVersion::BpfNext, true);
+            match out.load {
+                Err(BpfError::Verifier(e)) => (e.reason, out.verifier_insns),
+                other => panic!("expected a verifier rejection, got {other:?}"),
+            }
+        };
+        // Rejected in do_check at its second instruction (R5 is unset).
+        let (_, processed) = reject(vec![
+            asm::mov64_imm(Reg::R0, 0),
+            asm::mov64_reg(Reg::R0, Reg::R5),
+            asm::exit(),
+        ]);
+        assert!(processed > 0, "do_check rejection reported {processed}");
+        // A counting loop with a distinct constant per iteration never
+        // prunes, so the walk runs into the instruction budget.
+        let (reason, processed) = reject(vec![
+            asm::mov64_imm(Reg::R0, 0),
+            asm::alu64_imm(bvf_isa::AluOp::Add, Reg::R0, 1),
+            asm::jmp_imm(bvf_isa::JmpOp::Jlt, Reg::R0, 1_000_000, -2),
+            asm::exit(),
+        ]);
+        assert_eq!(reason, bvf_verifier::RejectReason::ComplexityLimit);
+        assert!(
+            processed >= VerifierOpts::default().insn_limit,
+            "{processed}"
+        );
     }
 
     #[test]

@@ -26,7 +26,7 @@ use bvf_telemetry::CampaignStats;
 pub const FABRIC_MAGIC: &str = "bvf-fabric";
 
 /// Protocol version; bumped on any frame-shape change.
-pub const FABRIC_VERSION: u32 = 1;
+pub const FABRIC_VERSION: u32 = 2;
 
 /// Hard cap on one frame's body, to bound allocation on a corrupt or
 /// hostile length prefix. Corpus-delta grants dominate frame size and
@@ -271,8 +271,17 @@ pub fn read_frame<R: Read, T: Deserialize>(r: &mut R) -> io::Result<T> {
             format!("frame length {len} exceeds MAX_FRAME_LEN"),
         ));
     }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
+    // Read through `take` rather than into a `len`-sized buffer: the
+    // allocation grows with the bytes that actually arrive, so a bare
+    // length prefix cannot make the reader reserve `MAX_FRAME_LEN`.
+    let mut buf = Vec::new();
+    r.by_ref().take(len as u64).read_to_end(&mut buf)?;
+    if buf.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame body ended after {} of {len} bytes", buf.len()),
+        ));
+    }
     let text = std::str::from_utf8(&buf)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("frame not UTF-8: {e}")))?;
     serde_json::from_str(text).map_err(|e| {
@@ -360,6 +369,13 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, &Request::Shutdown).unwrap();
         buf.truncate(buf.len() - 2);
+        let err = read_frame::<_, Request>(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+
+        // A header claiming the largest legal body, followed by a short
+        // one, is a truncation too.
+        let mut buf = (MAX_FRAME_LEN as u32).to_be_bytes().to_vec();
+        buf.extend_from_slice(b"{}");
         let err = read_frame::<_, Request>(&mut buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }

@@ -15,7 +15,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use bvf::fuzz::{CampaignConfig, CampaignWorker, CorpusLedger, GlobalDedup};
-use bvf_runtime::{Backend, ExecScratch};
+use bvf_runtime::ExecScratch;
 use bvf_telemetry::Telemetry;
 
 use crate::proto::{FrameConn, Request, Response, Role, FABRIC_MAGIC, FABRIC_VERSION};
@@ -41,11 +41,6 @@ pub struct WorkerOptions {
     /// then drop the connection without completing — simulating a
     /// worker crash mid-batch.
     pub abandon_after: Option<usize>,
-    /// Execution backend override (`bvf worker --backend`). `None` runs
-    /// whatever backend the campaign config carries over the wire. The
-    /// two backends are execution-equivalent, so a fleet mixing
-    /// overridden and stock workers still merges bit-identically.
-    pub backend_override: Option<Backend>,
 }
 
 impl Default for WorkerOptions {
@@ -55,7 +50,6 @@ impl Default for WorkerOptions {
             heartbeat_steps: 64,
             max_batches: None,
             abandon_after: None,
-            backend_override: None,
         }
     }
 }
@@ -147,15 +141,12 @@ pub fn run_worker(
         let mirrored = match campaigns.entry(grant.campaign) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(e) => {
-                let mut cfg = grant.config.ok_or_else(|| {
+                let cfg = grant.config.ok_or_else(|| {
                     FabricError::Protocol(format!(
                         "grant for unknown campaign {} carried no config",
                         grant.campaign
                     ))
                 })?;
-                if let Some(backend) = opts.backend_override {
-                    cfg.backend = backend;
-                }
                 report.campaigns += 1;
                 e.insert(MirroredCampaign {
                     ledger: CorpusLedger::new(&cfg),

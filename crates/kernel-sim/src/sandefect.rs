@@ -54,16 +54,11 @@ pub enum SanDefect {
     /// the register restored after the check is garbage — the sanitizer
     /// breaks the program state it promised to preserve.
     ScratchClobber,
-    /// The compiled backend's fused memory-check thunk takes its fast
-    /// path without ever dispatching to `asan_mem_check` — the compile
-    /// step elided the check it promised to fuse (false negative,
-    /// compile-layer only; the interpreter is deliberately unaffected).
-    FusedCheckElision,
 }
 
 impl SanDefect {
     /// All injectable sanitizer defects, in matrix order.
-    pub const ALL: [SanDefect; 9] = [
+    pub const ALL: [SanDefect; 8] = [
         SanDefect::RedzoneWidth,
         SanDefect::WritePolarity,
         SanDefect::ExHandledSwallow,
@@ -72,7 +67,6 @@ impl SanDefect {
         SanDefect::LoadSizeConfusion,
         SanDefect::AluDirectionFlip,
         SanDefect::ScratchClobber,
-        SanDefect::FusedCheckElision,
     ];
 
     /// Short name used in matrix output and CLI flags.
@@ -86,7 +80,6 @@ impl SanDefect {
             SanDefect::LoadSizeConfusion => "load-size-confusion",
             SanDefect::AluDirectionFlip => "alu-direction-flip",
             SanDefect::ScratchClobber => "scratch-clobber",
-            SanDefect::FusedCheckElision => "fused-check-elision",
         }
     }
 

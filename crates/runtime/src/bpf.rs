@@ -15,13 +15,24 @@ use bvf_kernel_sim::{BugId, BugSet, Kernel, KernelReport};
 use bvf_telemetry::profile::elapsed_ns;
 use bvf_telemetry::PhaseTimings;
 use bvf_verifier::{verify, InsnMeta, RejectReason, VerifierError, VerifierOpts, VerifierPhase};
+use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
-use crate::compile::Backend;
 use crate::interp::{
     exec_program, exec_program_traced, fire_tracepoint, AttachTable, ExecImage, ExecResult,
     ExecTrace, ProgRegistry, TriggerCtx,
 };
+
+/// The execution engine. The interpreter is the only one; the type, the
+/// `CampaignConfig::backend` field and [`Bpf::with_backend`] are kept
+/// only because the frozen benchmark package (`bvfbench/`) calls them,
+/// and go at its next revision.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum Backend {
+    /// The decode-cached interpreter in [`crate::interp`].
+    #[default]
+    Interp,
+}
 
 /// Default packet size for test runs of packet-carrying program types.
 pub const TEST_PACKET_LEN: u64 = 64;
@@ -119,10 +130,6 @@ pub struct Bpf {
     /// Whether BVF's sanitation instrumentation is enabled (the Kconfig
     /// toggle from the paper's patches).
     pub sanitize: bool,
-    /// Which execution engine loaded programs run on. With
-    /// [`Backend::Compiled`], every image is lowered once at load time
-    /// (amortized next to the pre-decode) and executed direct-threaded.
-    backend: Backend,
     /// Abstract-state snapshots of the most recent load, populated when
     /// [`VerifierOpts::snapshots`] is set. Consumed by
     /// [`Bpf::take_snapshots`].
@@ -145,21 +152,14 @@ impl Bpf {
             attach_table: HashMap::new(),
             opts,
             sanitize,
-            backend: Backend::Interp,
             last_snapshots: None,
         }
     }
 
-    /// Selects the execution backend for programs loaded *after* this
-    /// call (builder style; set it before any `prog_load`).
-    pub fn with_backend(mut self, backend: Backend) -> Bpf {
-        self.backend = backend;
+    /// A no-op: the interpreter is the only engine. Kept only for the
+    /// frozen benchmark API (see [`Backend`]).
+    pub fn with_backend(self, _backend: Backend) -> Bpf {
         self
-    }
-
-    /// The execution backend this instance loads programs for.
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// Tears the instance down, surrendering the kernel's memory manager
@@ -272,11 +272,8 @@ impl Bpf {
             offloaded,
             attach: None,
         });
-        let mut image = ExecImage::new(image_prog, image_meta, prog_type);
-        if self.backend == Backend::Compiled {
-            image.compile();
-        }
-        self.images.push(image);
+        self.images
+            .push(ExecImage::new(image_prog, image_meta, prog_type));
         Ok(id)
     }
 
@@ -320,11 +317,8 @@ impl Bpf {
                     offloaded: false,
                     attach: None,
                 });
-                let mut image = ExecImage::new(image_prog, image_meta, prog_type);
-                if self.backend == Backend::Compiled {
-                    image.compile();
-                }
-                self.images.push(image);
+                self.images
+                    .push(ExecImage::new(image_prog, image_meta, prog_type));
                 (Ok(id), cov, timings)
             }
         }

@@ -10,7 +10,6 @@
 //! dispatch to the `bpf_asan_*` functions.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use bvf_isa::decode::SourceOperandValue;
 use bvf_isa::{AluOp, AtomicOp, CallTarget, Endianness, InsnKind, JmpOp, Program, Reg, Size};
@@ -25,7 +24,6 @@ use bvf_kernel_sim::Kernel;
 use bvf_verifier::sanitize::{EXT_SLOT_R0, EXT_STACK_BYTES};
 use bvf_verifier::InsnMeta;
 
-use crate::compile::CompiledProg;
 use bvf_isa::reg::STACK_SIZE;
 
 /// Per-execution step budget (runaway guard, not a semantic limit).
@@ -42,25 +40,21 @@ pub const MAX_TP_DEPTH: u32 = 4;
 ///
 /// Built through [`ExecImage::new`], which pre-decodes the instruction
 /// stream once. The instruction stream and metadata are private — a
-/// mutation after build would desynchronize the decode cache (and any
-/// compiled form), so loaded images are immutable; read access goes
+/// mutation after build would desynchronize the decode cache, so loaded
+/// images are immutable; read access goes
 /// through [`ExecImage::prog`] / [`ExecImage::meta`].
 #[derive(Debug, Clone)]
 pub struct ExecImage {
     /// The (possibly sanitized) instruction stream.
-    pub(crate) prog: Program,
+    prog: Program,
     /// Per-slot metadata (exception-table entries, rewrite marks).
-    pub(crate) meta: Vec<InsnMeta>,
+    meta: Vec<InsnMeta>,
     /// Program type.
     pub prog_type: ProgType,
     /// Per-slot decode cache: entry `pc` holds exactly what
     /// `prog.decode_at(pc)` would return there (`None` for undecodable
     /// positions), so the hot loop never re-decodes a replayed program.
     decoded: Vec<Option<(InsnKind, usize)>>,
-    /// The closure-compiled form, present when the owning [`crate::Bpf`]
-    /// loads with [`crate::Backend::Compiled`]. Shared behind an `Arc`
-    /// so cloning an image (or a registry) never recompiles.
-    pub(crate) compiled: Option<Arc<CompiledProg>>,
 }
 
 impl ExecImage {
@@ -83,7 +77,6 @@ impl ExecImage {
             meta,
             prog_type,
             decoded,
-            compiled: None,
         }
     }
 
@@ -99,27 +92,13 @@ impl ExecImage {
         &self.meta
     }
 
-    /// Lowers the image into its closure-compiled direct-threaded form.
-    /// Idempotent; the result is cached on the image.
-    pub fn compile(&mut self) {
-        if self.compiled.is_none() {
-            self.compiled = Some(Arc::new(crate::compile::compile_image(self)));
-        }
-    }
-
-    /// Whether the image carries a compiled form.
-    #[inline]
-    pub fn is_compiled(&self) -> bool {
-        self.compiled.is_some()
-    }
-
     /// The pre-decoded instruction starting at `pc` and its slot count.
     ///
     /// `pc` must be in-bounds: the executor validates every program
     /// counter before fetching (empty images never reach the fetch), so
     /// this is a single indexed read on the hot path.
     #[inline]
-    pub(crate) fn decoded_at(&self, pc: usize) -> Option<(InsnKind, usize)> {
+    fn decoded_at(&self, pc: usize) -> Option<(InsnKind, usize)> {
         self.decoded[pc]
     }
 }
@@ -188,11 +167,11 @@ pub struct ExecResult {
     pub exec_hash: u64,
 }
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Folds one 64-bit word into an FNV-1a accumulator.
-pub(crate) fn fnv_fold(mut h: u64, v: u64) -> u64 {
+fn fnv_fold(mut h: u64, v: u64) -> u64 {
     for b in v.to_le_bytes() {
         h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
     }
@@ -200,13 +179,13 @@ pub(crate) fn fnv_fold(mut h: u64, v: u64) -> u64 {
 }
 
 #[derive(Clone, Copy)]
-pub(crate) struct Frame {
-    pub(crate) return_pc: usize,
-    pub(crate) stack_addr: u64,
+struct Frame {
+    return_pc: usize,
+    stack_addr: u64,
 }
 
 /// Maximum nested bpf-to-bpf call frames (kernel `MAX_CALL_FRAMES - 1`).
-pub(crate) const MAX_FRAMES: usize = 8;
+const MAX_FRAMES: usize = 8;
 
 /// Maximum steps recorded into an [`ExecTrace`]. Steps past the cap are
 /// dropped (and flagged), but every *recorded* step remains a valid
@@ -236,7 +215,7 @@ pub struct ExecTrace {
 }
 
 impl ExecTrace {
-    pub(crate) fn record(&mut self, pc: usize, regs: &[u64; 12]) {
+    fn record(&mut self, pc: usize, regs: &[u64; 12]) {
         if self.steps.len() >= TRACE_STEP_CAP {
             self.truncated = true;
             return;
@@ -276,15 +255,6 @@ pub fn exec_program_traced(
     depth: u32,
     mut trace: Option<&mut ExecTrace>,
 ) -> ExecResult {
-    // Backend dispatch: an image carrying a compiled form runs on the
-    // closure-compiled executor (identical observable semantics; see
-    // `crate::compile` for the equivalence contract).
-    if progs
-        .get(prog_id as usize)
-        .is_some_and(|image| image.compiled.is_some())
-    {
-        return crate::compile::exec_compiled(kernel, progs, attach, prog_id, trig, depth, trace);
-    }
     let mut steps: u64 = 0;
     if depth > MAX_TP_DEPTH {
         return ExecResult {
@@ -759,7 +729,7 @@ pub fn fire_tracepoint(
     }
 }
 
-pub(crate) fn prog_array_slot(kernel: &Kernel, map_id: u32, index: u32) -> Option<u32> {
+fn prog_array_slot(kernel: &Kernel, map_id: u32, index: u32) -> Option<u32> {
     let map = kernel.maps.get(map_id)?;
     match &map.storage {
         MapStorage::ProgArray { slots } => {
@@ -774,7 +744,7 @@ pub(crate) fn prog_array_slot(kernel: &Kernel, map_id: u32, index: u32) -> Optio
     }
 }
 
-pub(crate) fn packet_load(kernel: &Kernel, env: &HelperEnv, off: i64, size: Size) -> Option<u64> {
+fn packet_load(kernel: &Kernel, env: &HelperEnv, off: i64, size: Size) -> Option<u64> {
     if off < 0 || (off as u64).saturating_add(size.bytes() as u64) > env.packet_len {
         return None;
     }
@@ -791,7 +761,7 @@ pub(crate) fn packet_load(kernel: &Kernel, env: &HelperEnv, off: i64, size: Size
     })
 }
 
-pub(crate) fn truncate(v: u64, size: Size) -> u64 {
+fn truncate(v: u64, size: Size) -> u64 {
     match size {
         Size::B => v as u8 as u64,
         Size::H => v as u16 as u64,
@@ -800,7 +770,7 @@ pub(crate) fn truncate(v: u64, size: Size) -> u64 {
     }
 }
 
-pub(crate) fn sext(v: u64, size: Size) -> u64 {
+fn sext(v: u64, size: Size) -> u64 {
     match size {
         Size::B => v as u8 as i8 as i64 as u64,
         Size::H => v as u16 as i16 as i64 as u64,
@@ -809,7 +779,7 @@ pub(crate) fn sext(v: u64, size: Size) -> u64 {
     }
 }
 
-pub(crate) fn alu(op: AluOp, is64: bool, dst: u64, src: u64) -> u64 {
+fn alu(op: AluOp, is64: bool, dst: u64, src: u64) -> u64 {
     if is64 {
         match op {
             AluOp::Add => dst.wrapping_add(src),
@@ -847,7 +817,7 @@ pub(crate) fn alu(op: AluOp, is64: bool, dst: u64, src: u64) -> u64 {
     }
 }
 
-pub(crate) fn endian(e: Endianness, bits: i32, v: u64) -> u64 {
+fn endian(e: Endianness, bits: i32, v: u64) -> u64 {
     // Little-endian host: `to_le` is the identity, `to_be` swaps; the
     // unconditional swap always swaps.
     let swap = |v: u64| match bits {
@@ -866,7 +836,7 @@ pub(crate) fn endian(e: Endianness, bits: i32, v: u64) -> u64 {
     }
 }
 
-pub(crate) fn jmp_taken(op: JmpOp, is32: bool, a: u64, b: u64) -> bool {
+fn jmp_taken(op: JmpOp, is32: bool, a: u64, b: u64) -> bool {
     if is32 {
         let (a, b) = (a as u32, b as u32);
         let (sa, sb) = (a as i32, b as i32);

@@ -12,12 +12,10 @@
 #![warn(missing_docs)]
 
 pub mod bpf;
-pub mod compile;
 pub mod interp;
 pub mod scratch;
 
-pub use bpf::{Bpf, BpfError, LoadedProg, RunReport};
-pub use compile::Backend;
+pub use bpf::{Backend, Bpf, BpfError, LoadedProg, RunReport};
 pub use interp::{
     exec_program, exec_program_traced, fire_tracepoint, ExecImage, ExecResult, ExecTrace,
     HaltReason, TraceStep, TriggerCtx,

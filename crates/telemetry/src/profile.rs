@@ -29,6 +29,9 @@ pub struct PhaseTimings {
     pub sanitize_ns: u64,
     /// Work counters for the pruning machinery (one load attempt).
     pub prune: PruneCounters,
+    /// Instructions `do_check` processed, for rejected loads too (a
+    /// `complexity_limit` rejection reports the budget it exhausted).
+    pub insns_processed: u64,
 }
 
 /// Per-load work counters for the explored-state index. Like the
@@ -111,6 +114,7 @@ mod tests {
             fixup_ns: 5,
             sanitize_ns: 20,
             prune: PruneCounters::default(),
+            insns_processed: 0,
         };
         assert_eq!(t.total_ns(), 135);
     }

@@ -147,6 +147,7 @@ impl<'a> Verifier<'a> {
         let t0 = Instant::now();
         let checked = self.do_check();
         self.timings.do_check_ns = elapsed_ns(t0);
+        self.timings.insns_processed = self.insn_processed as u64;
         // Index occupancy, recorded for accepted and rejected loads
         // alike (the counters are observational).
         for point in self.explored.values() {

@@ -5,7 +5,7 @@
 //! divergence fixture.
 //!
 //! The defect matrix is the subsystem's own regression suite: each of
-//! the nine seeded sanitizer bugs ships with a reproducer whose
+//! the eight seeded sanitizer bugs ships with a reproducer whose
 //! divergence verdict must *flip* when the defect is healed, so a
 //! comparator or instrumentation regression that lets any class escape
 //! fails here (and in the `bvf sancheck --matrix` CI smoke).
@@ -16,12 +16,11 @@ use bvf::sanmatrix::run_matrix;
 use bvf::scenario::{run_scenario_san_diff, Scenario};
 use bvf::GeneratorKind;
 use bvf_kernel_sim::{BugSet, KernelReport, SanDefect, SanDefectSet};
-use bvf_runtime::Backend;
 use bvf_verifier::KernelVersion;
 
 #[test]
 fn matrix_catches_all_defect_classes() {
-    let out = run_matrix(KernelVersion::BpfNext, Backend::Interp);
+    let out = run_matrix(KernelVersion::BpfNext);
     assert_eq!(out.results.len(), SanDefect::ALL.len());
     let escaped = out.escaped();
     assert!(
@@ -145,15 +144,8 @@ fn committed_fixture_diverges_only_when_armed() {
 fn minimize_round_trips_divergence_signature() {
     let s = load_fixture();
     let defects = SanDefectSet::only(SanDefect::ScratchClobber);
-    let out = minimize_finding_san(
-        &s,
-        &BugSet::none(),
-        KernelVersion::BpfNext,
-        defects,
-        1,
-        Backend::Interp,
-    )
-    .expect("fixture must minimize");
+    let out = minimize_finding_san(&s, &BugSet::none(), KernelVersion::BpfNext, defects, 1)
+        .expect("fixture must minimize");
     assert_eq!(out.signature, "One:sandiv:exec-mismatch");
 
     // The minimized scenario replays to the same signature — the
