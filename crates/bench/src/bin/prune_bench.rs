@@ -4,7 +4,8 @@
 //! reports what the index buys: the fraction of `states_equal`
 //! comparisons the structural fingerprint filtered out, the prune hit
 //! rate, resident states per prune point, eviction traffic, and the
-//! wall-clock ratio between the two runs. The two campaigns must
+//! wall-clock ratio between the two runs, plus `do_check` nanoseconds
+//! per processed instruction for each. The two campaigns must
 //! produce identical findings, acceptance, and coverage: the index is
 //! a pure filter and this binary doubles as the regression check for
 //! that invariant (`--check` additionally enforces the >50%
@@ -62,6 +63,17 @@ fn main() {
     let points = c("prune.points");
     let stored = c("prune.states_stored");
     let calls_off = off_stats.metrics.counter("prune.states_equal_calls");
+    // The verifier's per-instruction cost: `do_check` wall time over the
+    // instructions it processed (both run the same instructions).
+    let ns_per_insn = |stats: &bvf_telemetry::CampaignStats| {
+        let do_check_ns = stats
+            .metrics
+            .histogram("verify.do_check_ns")
+            .map_or(0, |h| h.sum);
+        do_check_ns as f64 / stats.metrics.counter("verify.insns_processed").max(1) as f64
+    };
+    let ns_per_insn_on = ns_per_insn(&on_stats);
+    let ns_per_insn_off = ns_per_insn(&off_stats);
 
     let frac = |num: u64, den: u64| {
         if den == 0 {
@@ -98,6 +110,14 @@ fn main() {
             "states / prune point".into(),
             format!("{states_per_point:.2} ({stored} in {points} points)"),
         ],
+        vec![
+            "do_check ns / processed insn (on)".into(),
+            format!("{ns_per_insn_on:.1}"),
+        ],
+        vec![
+            "do_check ns / processed insn (off)".into(),
+            format!("{ns_per_insn_off:.1}"),
+        ],
         vec!["wall ratio off/on".into(), format!("{speedup:.2}x")],
     ];
     println!("\nexplored-state index effectiveness ({iters} iterations)\n");
@@ -124,6 +144,9 @@ fn main() {
             "wall_ns_on": wall_ns_on,
             "wall_ns_off": wall_ns_off,
             "wall_ratio_off_over_on": speedup,
+            "insns_processed": on_stats.metrics.counter("verify.insns_processed"),
+            "do_check_ns_per_insn_on": ns_per_insn_on,
+            "do_check_ns_per_insn_off": ns_per_insn_off,
             "findings": on.findings.len(),
             "findings_identical": true,
         }),

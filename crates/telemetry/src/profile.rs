@@ -69,7 +69,9 @@ impl PhaseTimings {
     }
 
     /// Records each phase into `reg` as histograms named
-    /// `<prefix>.<phase>_ns`, plus `<prefix>.total_ns`.
+    /// `<prefix>.<phase>_ns`, plus `<prefix>.total_ns`, and the
+    /// processed-instruction count as counter `<prefix>.insns_processed`
+    /// (so `do_check_ns` can be read per processed instruction).
     pub fn record_into(&self, reg: &mut Registry, prefix: &str) {
         reg.record(&format!("{prefix}.structure_ns"), self.structure_ns);
         reg.record(&format!("{prefix}.do_check_ns"), self.do_check_ns);
@@ -77,6 +79,7 @@ impl PhaseTimings {
         reg.record(&format!("{prefix}.fixup_ns"), self.fixup_ns);
         reg.record(&format!("{prefix}.sanitize_ns"), self.sanitize_ns);
         reg.record(&format!("{prefix}.total_ns"), self.total_ns());
+        reg.add(&format!("{prefix}.insns_processed"), self.insns_processed);
         self.prune.record_into(reg);
     }
 }
@@ -124,8 +127,10 @@ mod tests {
         let mut reg = Registry::new();
         let t = PhaseTimings {
             do_check_ns: 7,
+            insns_processed: 40,
             ..Default::default()
         };
+        t.record_into(&mut reg, "verify");
         t.record_into(&mut reg, "verify");
         for name in [
             "verify.structure_ns",
@@ -135,9 +140,10 @@ mod tests {
             "verify.sanitize_ns",
             "verify.total_ns",
         ] {
-            assert_eq!(reg.histogram(name).map(|h| h.count), Some(1), "{name}");
+            assert_eq!(reg.histogram(name).map(|h| h.count), Some(2), "{name}");
         }
-        assert_eq!(reg.histogram("verify.do_check_ns").unwrap().sum, 7);
+        assert_eq!(reg.histogram("verify.do_check_ns").unwrap().sum, 14);
+        assert_eq!(reg.counter("verify.insns_processed"), 80);
     }
 
     #[test]

@@ -28,26 +28,20 @@ impl<'a> Verifier<'a> {
         pc: usize,
         candidate: Option<crate::env::AluLimitMeta>,
     ) {
-        use std::collections::hash_map::Entry;
-        match self.alu_limit_state.entry(pc) {
-            Entry::Vacant(v) => {
-                v.insert(candidate);
+        let slot = &mut self.alu_limit_state[pc];
+        *slot = Some(match (*slot, candidate) {
+            // First path through this instruction.
+            (None, c) => c,
+            (Some(Some(a)), Some(b))
+                if a.scalar_reg == b.scalar_reg && a.downward == b.downward =>
+            {
+                Some(crate::env::AluLimitMeta {
+                    limit: a.limit.max(b.limit),
+                    ..a
+                })
             }
-            Entry::Occupied(mut o) => {
-                let merged = match (*o.get(), candidate) {
-                    (Some(a), Some(b))
-                        if a.scalar_reg == b.scalar_reg && a.downward == b.downward =>
-                    {
-                        Some(crate::env::AluLimitMeta {
-                            limit: a.limit.max(b.limit),
-                            ..a
-                        })
-                    }
-                    _ => None,
-                };
-                o.insert(merged);
-            }
-        }
+            _ => None,
+        });
     }
 
     /// Checks one ALU-class instruction.

@@ -10,6 +10,7 @@
 //! treats growth of this set exactly as BVF treats new kcov branches.
 
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -61,10 +62,38 @@ pub enum Cat {
     Atomic = 21,
 }
 
+/// A fixed SplitMix64 hasher for coverage keys.
+///
+/// `hit` runs on every processed instruction, so the set's hasher is on
+/// the verifier's hot path. Point keys are not attacker-chosen and no
+/// caller reads the set's iteration order (serialization sorts, and
+/// [`Coverage::to_sorted_points`] is the stable form), so std's
+/// randomly keyed SipHash buys nothing here.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PointHasher(u64);
+
+impl Hasher for PointHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = crate::shape::mix(self.0, v);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// A set of distinct coverage points.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Coverage {
-    points: HashSet<u64>,
+    points: HashSet<u64, BuildHasherDefault<PointHasher>>,
 }
 
 impl Coverage {
@@ -152,6 +181,28 @@ mod tests {
         c.hit(Cat::AluOp, 5, 1);
         c.hit(Cat::PtrAlu, 5, 1);
         assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn point_hasher_is_fixed_and_spreads_keys() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<PointHasher>::default();
+        let a = build.hash_one(7u64);
+        assert_eq!(a, build.hash_one(7u64), "no per-instance key");
+        // Keys that differ only in the low bits land far apart.
+        assert!((a ^ build.hash_one(8u64)).count_ones() > 8);
+    }
+
+    #[test]
+    fn serialized_points_are_sorted() {
+        let c = Coverage::from_points([9u64 << 48, 3, 1 << 20]);
+        let json = serde_json::to_string(&c).unwrap();
+        assert_eq!(
+            json,
+            format!("{{\"points\":[3,{},{}]}}", 1u64 << 20, 9u64 << 48)
+        );
+        let back: Coverage = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, c);
     }
 
     #[test]

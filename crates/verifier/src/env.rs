@@ -1,10 +1,10 @@
 //! Verifier environment, options, and output types.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
-use bvf_isa::{Program, Reg};
+use bvf_isa::{InsnKind, Program, Reg};
 use bvf_kernel_sim::progtype::ProgType;
 use bvf_kernel_sim::Kernel;
 
@@ -81,11 +81,11 @@ pub struct VerifierOpts {
     /// walk (consumed by the `bvf-diff` differential oracle). Off by
     /// default: plain loads pay nothing.
     pub snapshots: bool,
-    /// Use the fingerprint-bucketed explored-state index to skip
-    /// `states_equal` candidates whose structural shape cannot subsume
-    /// the current state. A pure filter — verdicts, coverage, and
-    /// findings are identical with it off (the slow path exists for
-    /// differential testing and benchmarks).
+    /// Use the explored-state fingerprints to skip `states_equal`
+    /// candidates whose structural shape cannot subsume the current
+    /// state. A pure filter — verdicts, coverage, and findings are
+    /// identical with it off (the slow path exists for differential
+    /// testing and benchmarks).
     pub prune_index: bool,
 }
 
@@ -172,9 +172,12 @@ pub struct Verifier<'a> {
     pub(crate) prog_type: ProgType,
     /// Which slots start an instruction.
     pub(crate) insn_starts: Vec<bool>,
+    /// Each instruction decoded once per load, with its slot count;
+    /// `None` for the second slot of an `LD_IMM64`.
+    pub(crate) decoded: Vec<Option<(InsnKind, usize)>>,
     /// Prune points (control-flow joins, back-edge targets, and
-    /// subprogram entries).
-    pub(crate) prune_points: HashSet<usize>,
+    /// subprogram entries), indexed by pc.
+    pub(crate) prune_points: Vec<bool>,
     /// Coverage collected during this verification.
     pub cov: Coverage,
     /// Verification log.
@@ -183,8 +186,8 @@ pub struct Verifier<'a> {
     pub(crate) next_id: u32,
     /// Per-slot metadata.
     pub(crate) insn_meta: Vec<InsnMeta>,
-    /// States remembered at prune points, fingerprint-indexed.
-    pub(crate) explored: HashMap<usize, crate::shape::ExploredPoint>,
+    /// States remembered at prune points, indexed by pc.
+    pub(crate) explored: Vec<crate::shape::ExploredPoint>,
     /// Instructions processed so far.
     pub(crate) insn_processed: usize,
     /// Helper ids seen.
@@ -202,8 +205,9 @@ pub struct Verifier<'a> {
     /// `Some(meta)` = all paths so far agree (limits widened to the max),
     /// `None` = paths disagree on direction/operand or a path has no
     /// derivable limit — the runtime check is dropped (the kernel's
-    /// `REASON_PATHS` situation).
-    pub(crate) alu_limit_state: HashMap<usize, Option<AluLimitMeta>>,
+    /// `REASON_PATHS` situation). Indexed by pc; the outer `None` means
+    /// no path has reached the instruction yet.
+    pub(crate) alu_limit_state: Vec<Option<Option<AluLimitMeta>>>,
     /// Wall-time per verification phase; observational only — no pass
     /// reads it back, so timing noise cannot change a verdict.
     pub timings: bvf_telemetry::PhaseTimings,
@@ -232,19 +236,20 @@ impl<'a> Verifier<'a> {
             prog: prog.clone(),
             prog_type,
             insn_starts: Vec::new(),
-            prune_points: HashSet::new(),
+            decoded: Vec::new(),
+            prune_points: vec![false; n],
             cov: Coverage::new(),
             log: Vec::new(),
             next_id: 0,
             insn_meta: vec![InsnMeta::default(); n],
-            explored: HashMap::new(),
+            explored: vec![crate::shape::ExploredPoint::default(); n],
             insn_processed: 0,
             used_helpers: BTreeSet::new(),
             used_kfuncs: BTreeSet::new(),
             used_maps: BTreeSet::new(),
             subprog_starts: BTreeSet::new(),
             stack_spill_candidate: None,
-            alu_limit_state: HashMap::new(),
+            alu_limit_state: vec![None; n],
             timings: bvf_telemetry::PhaseTimings::default(),
             snapshots,
         }

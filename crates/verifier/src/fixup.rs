@@ -19,8 +19,13 @@ impl<'a> Verifier<'a> {
     /// Applies the rewrite passes to the working program copy.
     pub(crate) fn do_fixups(&mut self) -> Result<(), VerifierError> {
         // Materialize the path-merged alu_limit assertions.
-        for (pc, merged) in std::mem::take(&mut self.alu_limit_state) {
-            self.insn_meta[pc].alu_limit = merged;
+        for (pc, merged) in std::mem::take(&mut self.alu_limit_state)
+            .into_iter()
+            .enumerate()
+        {
+            if let Some(merged) = merged {
+                self.insn_meta[pc].alu_limit = merged;
+            }
         }
         let n = self.prog.insn_count();
         let mut pc = 0;

@@ -2,27 +2,35 @@
 //!
 //! [`StateShape`] projects a [`VerifierState`] onto the *discrete* facts
 //! that [`states_equal`](crate::prune::states_equal) requires to hold
-//! exactly: frame count, callsites, per-register type discriminants, and
-//! per-slot stack-byte shape. The projection is a **pure filter**: if
-//! [`StateShape::may_subsume`] returns `false`, `states_equal(old, cur)`
-//! is provably `false`, so skipping the full comparison can never change
-//! a prune decision (the property test in `tests/prop_prune.rs` pins
-//! this). When it returns `true` the full comparison still runs — the
-//! fingerprint only prunes impossible candidates.
+//! exactly: frame count, callsites, per-register type discriminants,
+//! the exact fields of every pointer, and per-slot stack-byte shape.
+//! The projection is a **pure filter**: if [`StateShape::may_subsume`]
+//! returns `false`, `states_equal(old, cur)` is provably `false`, so
+//! skipping the full comparison can never change a prune decision (the
+//! property test in `tests/prop_prune.rs` pins this). When it returns
+//! `true` the full comparison still runs — the fingerprint only prunes
+//! impossible candidates.
 //!
 //! The wildcard masks encode the asymmetry of subsumption:
 //!
 //! - an old `NOT_INIT` register subsumes *any* current register
 //!   (`regsafe` returns `true` unconditionally), so its nibble is
 //!   masked out;
+//! - an old pointer must match the current one exactly in `off`,
+//!   `var_off` and `maybe_null`, so those fields are keyed;
 //! - an old `MISC`/mixed stack slot only requires the current bytes to
 //!   be initialized, not equal, so its slot is masked out;
 //! - an old all-`ZERO` or full-spill slot demands the same shape from
 //!   the current slot, so those compare exactly.
+//!
+//! The same pass computes the state's eviction score
+//! ([`StateShape::permissiveness`]); the stack part of both is cached
+//! on the frame (see [`FuncState::stack_mut`]).
 
+use std::cell::Cell;
 use std::rc::Rc;
 
-use crate::state::{FuncState, StackByte, VerifierState};
+use crate::state::{FuncState, StackByte, StackSlot, StackSummary, VerifierState};
 use crate::types::{RegState, RegType};
 
 /// Nibble-spread helper: maps every nonzero 4-bit lane of `tags` to
@@ -59,11 +67,21 @@ fn magnitude_class(v: u64) -> u16 {
     ((width as u16) << 8) | mantissa as u16
 }
 
+/// The pointer key: a hash of the fields `regsafe` requires an old
+/// pointer and the current one to share exactly (`off`, `var_off`,
+/// `maybe_null`). Equal fields give equal keys, so a key mismatch
+/// proves `regsafe` false. This is what separates the iterations of a
+/// `ptr += 8` loop, whose states differ only in a pointer's offset.
+fn ptr_key(r: &RegState) -> u64 {
+    let head = u64::from(r.off as u32) | (u64::from(r.maybe_null) << 32);
+    mix(mix(mix(0, head), r.var_off.value), r.var_off.mask)
+}
+
 /// The discrete shape of one call frame.
 ///
-/// Besides the type tags, each register carries three monotone *bounds
-/// classes* and the low byte of `umin`. `regsafe` demands
-/// `range_within(old, cur)` for scalars **and** pointers, and
+/// Besides the type tags and pointer keys, each register carries three
+/// monotone *bounds classes* and the low byte of `umin`. `regsafe`
+/// demands `range_within(old, cur)` for scalars **and** pointers, and
 /// `old.umin <= cur.umin && old.umax >= cur.umax` implies
 ///
 /// - `class(old.umax) >= class(cur.umax)`,
@@ -75,7 +93,8 @@ fn magnitude_class(v: u64) -> u16 {
 /// The last rule is the one with teeth on the loop-detection path: a
 /// counting loop revisits its prune point with the same type shape but
 /// a different induction value, and the low byte separates consecutive
-/// values 255 times out of 256.
+/// values 255 times out of 256. It is packed into two words so
+/// [`FrameShape::may_subsume`] can test it first, in one step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct FrameShape {
     /// One 4-bit [`RegType::tag`] per register (R0..R10), low nibble =
@@ -84,6 +103,15 @@ struct FrameShape {
     /// `0xF` for every register whose tag must match exactly for
     /// subsumption, `0x0` for wildcards (old `NOT_INIT`).
     reg_mask: u64,
+    /// Low byte of each register's `umin`, one byte lane per register.
+    umin_low: u128,
+    /// `0xFF` lanes for the registers this (old) frame holds as known
+    /// constants: their `umin_low` lanes must match exactly.
+    const_lanes: u128,
+    /// Bit `i` set when register `i` holds a pointer.
+    ptr_regs: u16,
+    /// Per-register [`ptr_key`]; 0 for non-pointers.
+    ptr_key: [u64; SHAPE_REGS],
     /// Per-register magnitude class of the unsigned range width
     /// (`umax - umin`); 0 means a known constant.
     width_class: [u16; SHAPE_REGS],
@@ -91,9 +119,6 @@ struct FrameShape {
     umax_class: [u16; SHAPE_REGS],
     /// Per-register magnitude class of `umin`.
     umin_class: [u16; SHAPE_REGS],
-    /// Per-register low byte of `umin`; compared exactly when the old
-    /// register is a known constant.
-    umin_low: [u8; SHAPE_REGS],
     /// Two bits per stack slot (64 slots): `01` = all bytes `ZERO`,
     /// `10` = full spill, `00` = anything else.
     stack_tags: [u64; 2],
@@ -103,47 +128,77 @@ struct FrameShape {
 }
 
 impl FrameShape {
-    fn of(frame: &FuncState) -> FrameShape {
+    /// Projects `frame`, returning its shape and its share of the
+    /// eviction score.
+    fn of(frame: &FuncState, key: impl Fn(&RegState) -> u64) -> (FrameShape, u64) {
         let mut reg_tags = 0u64;
+        let mut umin_low = 0u128;
+        let mut const_lanes = 0u128;
+        let mut ptr_regs = 0u16;
+        let mut ptr_keys = [0u64; SHAPE_REGS];
         let mut width_class = [0u16; SHAPE_REGS];
         let mut umax_class = [0u16; SHAPE_REGS];
         let mut umin_class = [0u16; SHAPE_REGS];
-        let mut umin_low = [0u8; SHAPE_REGS];
+        let mut score = 0u64;
         for (i, r) in frame.regs.iter().enumerate() {
-            reg_tags |= u64::from(r.typ.tag()) << (i * 4);
+            let tag = r.typ.tag();
+            if tag == 0 {
+                // NOT_INIT: a wildcard when old, a tag mismatch against
+                // any other old type when current — its other lanes are
+                // never read.
+                score += reg_permissiveness(r);
+                continue;
+            }
+            reg_tags |= u64::from(tag) << (i * 4);
             width_class[i] = magnitude_class(r.umax.wrapping_sub(r.umin));
             umax_class[i] = magnitude_class(r.umax);
             umin_class[i] = magnitude_class(r.umin);
-            umin_low[i] = r.umin as u8;
+            umin_low |= u128::from(r.umin as u8) << (i * 8);
+            if r.umin == r.umax {
+                const_lanes |= 0xFF << (i * 8);
+            }
+            if r.typ.is_pointer() {
+                ptr_regs |= 1 << i;
+                ptr_keys[i] = key(r);
+            }
+            score += reg_permissiveness(r);
         }
-        let mut stack_tags = [0u64; 2];
-        for (i, slot) in frame.stack.iter().enumerate() {
-            let tag: u64 = if slot.bytes.iter().all(|&b| b == StackByte::Zero) {
-                0b01
-            } else if slot.is_full_spill() {
-                0b10
-            } else {
-                0b00
-            };
-            stack_tags[i / 32] |= tag << ((i % 32) * 2);
-        }
-        FrameShape {
+        let stack = frame.stack_summary.get_or(|| stack_summary(&frame.stack));
+        let shape = FrameShape {
             reg_tags,
             reg_mask: nibble_mask(reg_tags),
+            umin_low,
+            const_lanes,
+            ptr_regs,
+            ptr_key: ptr_keys,
             width_class,
             umax_class,
             umin_class,
-            umin_low,
-            stack_tags,
-            stack_mask: [pair_mask(stack_tags[0]), pair_mask(stack_tags[1])],
-        }
+            stack_tags: stack.tags,
+            stack_mask: [pair_mask(stack.tags[0]), pair_mask(stack.tags[1])],
+        };
+        (shape, score + stack.score)
     }
 
     /// Whether a state with this (old) frame shape can possibly subsume
-    /// a state with frame shape `cur`.
+    /// a state with frame shape `cur`. Every test is a necessary
+    /// condition, so their order only affects speed: the most selective
+    /// come first.
     fn may_subsume(&self, cur: &FrameShape) -> bool {
+        if (self.umin_low ^ cur.umin_low) & self.const_lanes != 0 {
+            return false;
+        }
         if (self.reg_tags ^ cur.reg_tags) & self.reg_mask != 0 {
             return false;
+        }
+        // The tags matched, so `cur` holds a pointer wherever `self` does.
+        let mut ptrs = self.ptr_regs;
+        while ptrs != 0 {
+            let i = ptrs.trailing_zeros() as usize;
+            if self.ptr_key[i] != cur.ptr_key[i] {
+                return false;
+            }
+            ptrs &= ptrs - 1;
         }
         if (self.stack_tags[0] ^ cur.stack_tags[0]) & self.stack_mask[0] != 0
             || (self.stack_tags[1] ^ cur.stack_tags[1]) & self.stack_mask[1] != 0
@@ -163,28 +218,67 @@ impl FrameShape {
             {
                 return false;
             }
-            if self.width_class[i] == 0 && self.umin_low[i] != cur.umin_low[i] {
-                return false;
-            }
         }
         true
     }
 }
 
-/// The structural fingerprint of a [`VerifierState`], hashed once when
-/// the state is pushed into the explored index.
+/// The stack part of a frame's fingerprint and eviction score, in one
+/// pass over the slots.
+fn stack_summary(stack: &[StackSlot]) -> StackSummary {
+    let mut summary = StackSummary::default();
+    for (i, slot) in stack.iter().enumerate() {
+        let (tag, score) = slot_summary(slot);
+        summary.tags[i / 32] |= tag << ((i % 32) * 2);
+        summary.score += score;
+    }
+    summary
+}
+
+/// One slot's shape tag and eviction score. The three uniform slots a
+/// stack is mostly made of (untouched, zeroed, one spilled register)
+/// take a fast path; mixed slots score byte by byte.
+fn slot_summary(slot: &StackSlot) -> (u64, u64) {
+    if slot.bytes == [StackByte::Invalid; 8] {
+        (0b00, 8 * 4)
+    } else if slot.bytes == [StackByte::Zero; 8] {
+        (0b01, 0)
+    } else if slot.bytes == [StackByte::Spill; 8] {
+        (0b10, reg_permissiveness(&slot.spilled) >> 3)
+    } else {
+        let score = slot
+            .bytes
+            .iter()
+            .map(|b| match b {
+                StackByte::Invalid => 4,
+                StackByte::Misc => 2,
+                StackByte::Zero | StackByte::Spill => 0,
+            })
+            .sum();
+        (0b00, score)
+    }
+}
+
+/// The structural fingerprint of a [`VerifierState`], computed once per
+/// prune-point visit and kept with the state if it is stored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateShape {
     /// Hash of the exact-equality preconditions of `states_equal`
     /// (frame count, acquired-ref count, per-frame callsite and
     /// subprogram start). States in different buckets can never be
-    /// equal, so this keys the per-prune-point index.
+    /// equal.
     bucket: u64,
-    frames: Vec<FrameShape>,
+    /// The eviction score; see [`StateShape::permissiveness`].
+    permissiveness: u64,
+    /// The main frame's shape, inline: most states have no other.
+    main: FrameShape,
+    /// The shapes of the subprogram frames above it, innermost last.
+    calls: Vec<FrameShape>,
 }
 
-/// SplitMix64 finalizer — the bucket hash's mixing function.
-fn mix(h: u64, v: u64) -> u64 {
+/// SplitMix64 finalizer — the mixing function of the bucket hash, the
+/// pointer key and the coverage set's hasher.
+pub(crate) fn mix(h: u64, v: u64) -> u64 {
     let mut z = (h ^ v).wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -194,58 +288,67 @@ fn mix(h: u64, v: u64) -> u64 {
 impl StateShape {
     /// Projects `state` onto its structural fingerprint.
     pub fn of(state: &VerifierState) -> StateShape {
+        StateShape::keyed(state, ptr_key)
+    }
+
+    /// [`StateShape::of`] with a caller-supplied pointer key. Exists so
+    /// tests can check that the property tests catch a weakened key;
+    /// everything else uses [`StateShape::of`].
+    #[doc(hidden)]
+    pub fn of_with_ptr_key(state: &VerifierState, key: fn(&RegState) -> u64) -> StateShape {
+        StateShape::keyed(state, key)
+    }
+
+    fn keyed(state: &VerifierState, key: impl Fn(&RegState) -> u64 + Copy) -> StateShape {
         let mut bucket = mix(state.frames.len() as u64, state.acquired_refs.len() as u64);
         for f in &state.frames {
             bucket = mix(bucket, f.callsite as u64);
             bucket = mix(bucket, f.subprog_start as u64);
         }
+        let (main, mut permissiveness) = FrameShape::of(&state.frames[0], key);
+        let calls = state.frames[1..]
+            .iter()
+            .map(|f| {
+                let (shape, score) = FrameShape::of(f, key);
+                permissiveness += score;
+                shape
+            })
+            .collect();
         StateShape {
             bucket,
-            frames: state.frames.iter().map(|f| FrameShape::of(f)).collect(),
+            permissiveness,
+            main,
+            calls,
         }
     }
 
-    /// The index-bucket key.
+    /// The exact-equality key: states with different buckets never
+    /// subsume one another.
     pub fn bucket(&self) -> u64 {
         self.bucket
+    }
+
+    /// A deterministic "how much does this state admit" score used by
+    /// the eviction policy: higher scores subsume more future states.
+    /// Only the ordering matters, and only its determinism is
+    /// load-bearing.
+    pub fn permissiveness(&self) -> u64 {
+        self.permissiveness
     }
 
     /// Whether a stored (old) state with shape `self` can possibly
     /// subsume a current state with shape `cur`. `false` guarantees
     /// `states_equal(old, cur) == false`.
     pub fn may_subsume(&self, cur: &StateShape) -> bool {
-        self.frames.len() == cur.frames.len()
+        self.bucket == cur.bucket
+            && self.calls.len() == cur.calls.len()
+            && self.main.may_subsume(&cur.main)
             && self
-                .frames
+                .calls
                 .iter()
-                .zip(&cur.frames)
+                .zip(&cur.calls)
                 .all(|(o, c)| o.may_subsume(c))
     }
-}
-
-/// A deterministic "how much does this state admit" score used by the
-/// eviction policy: higher scores subsume more future states. Only the
-/// ordering matters, and only its determinism is load-bearing.
-pub fn permissiveness(state: &VerifierState) -> u64 {
-    let mut score = 0u64;
-    for f in &state.frames {
-        for r in &f.regs {
-            score += reg_permissiveness(r);
-        }
-        for s in f.stack.iter() {
-            for b in &s.bytes {
-                score += match b {
-                    StackByte::Invalid => 4,
-                    StackByte::Misc => 2,
-                    StackByte::Zero | StackByte::Spill => 0,
-                };
-            }
-            if s.is_full_spill() {
-                score += reg_permissiveness(&s.spilled) >> 3;
-            }
-        }
-    }
-    score
 }
 
 fn reg_permissiveness(r: &RegState) -> u64 {
@@ -265,26 +368,59 @@ fn reg_permissiveness(r: &RegState) -> u64 {
     }
 }
 
-/// One state stored at a prune point.
-#[derive(Debug, Clone)]
+/// One state stored at a prune point, with its fingerprint. One `Rc`
+/// is shared by the explored index and the path-trace node created at
+/// the same visit, so a prune check's explored scan can reuse what its
+/// loop scan already found out about the same state.
+#[derive(Debug)]
 pub struct ExploredEntry {
-    /// The stored state, shared with the path-trace node created at the
-    /// same visit (so loop-scan and explored-scan can recognize the
-    /// same candidate by pointer identity).
-    pub state: Rc<VerifierState>,
-    /// Its fingerprint, computed once at push time.
+    /// The stored state.
+    pub state: VerifierState,
+    /// Its fingerprint, computed once at the visit that stored it.
     pub shape: StateShape,
-    /// Cached [`permissiveness`] score for eviction ordering.
-    pub permissiveness: u64,
+    /// `2 * check + compared` for the latest prune check whose loop
+    /// scan examined this entry; 0 before any.
+    loop_mark: Cell<u64>,
 }
 
-/// The per-prune-point explored-state index: insertion-ordered entries
-/// plus a fingerprint-bucket map so the fast path only scans candidates
-/// whose discrete shape can possibly subsume the current state.
+impl ExploredEntry {
+    /// An entry for `state`, whose fingerprint is `shape`.
+    pub fn new(state: VerifierState, shape: StateShape) -> ExploredEntry {
+        ExploredEntry {
+            state,
+            shape,
+            loop_mark: Cell::new(0),
+        }
+    }
+
+    /// Records that the loop scan of prune check `check` examined this
+    /// entry, and whether it ran `states_equal` on it (`false`: the
+    /// fingerprint ruled it out). Checks are numbered from 1.
+    pub(crate) fn mark(&self, check: u64, compared: bool) {
+        self.loop_mark.set(2 * check + u64::from(compared));
+    }
+
+    /// `Some(compared)` when the loop scan of prune check `check`
+    /// examined this entry.
+    pub(crate) fn marked(&self, check: u64) -> Option<bool> {
+        let m = self.loop_mark.get();
+        (m >> 1 == check).then_some(m & 1 == 1)
+    }
+}
+
+/// The explored states of one prune point.
+///
+/// Entries sit in fixed slots (eviction replaces in place); `order`
+/// lists the slots in scan order — insertion order, with a replaced
+/// slot moving to the back. The fast path scans in that order and
+/// skips candidates whose fingerprint cannot subsume the current
+/// state. `scores` mirrors each slot's eviction score, so choosing a
+/// victim reads one small array instead of every entry.
 #[derive(Debug, Clone, Default)]
 pub struct ExploredPoint {
-    entries: Vec<ExploredEntry>,
-    buckets: std::collections::HashMap<u64, Vec<usize>>,
+    entries: Vec<Rc<ExploredEntry>>,
+    scores: Vec<u64>,
+    order: Vec<u8>,
 }
 
 impl ExploredPoint {
@@ -298,59 +434,48 @@ impl ExploredPoint {
         self.entries.is_empty()
     }
 
-    /// All stored entries, oldest first.
-    pub fn entries(&self) -> &[ExploredEntry] {
+    /// All stored entries, by slot.
+    pub fn entries(&self) -> &[Rc<ExploredEntry>] {
         &self.entries
     }
 
-    /// Indices of the entries whose bucket key matches `bucket`.
-    pub fn bucket_candidates(&self, bucket: u64) -> &[usize] {
-        self.buckets.get(&bucket).map_or(&[], |v| v.as_slice())
+    /// All stored entries in scan order (oldest insertion first).
+    pub fn scan_order(&self) -> impl Iterator<Item = &Rc<ExploredEntry>> {
+        self.order.iter().map(|&i| &self.entries[usize::from(i)])
     }
 
     /// Stores `entry`, evicting the most specific resident state when
-    /// the point is at `cap`. The incoming state is itself dropped when
-    /// it is the most specific of the lot — the states most likely to
-    /// subsume future paths are the ones kept. Returns `true` when an
-    /// eviction (either direction) happened.
+    /// the point is at `cap` (at most 256). The incoming state is
+    /// itself dropped when it is the most specific of the lot — the
+    /// states most likely to subsume future paths are the ones kept.
+    /// Returns `true` when an eviction (either direction) happened.
     ///
-    /// Ties break on the lowest index (oldest entry), which keeps the
-    /// policy deterministic.
-    pub fn insert(&mut self, entry: ExploredEntry, cap: usize) -> bool {
+    /// Ties break on the lowest slot, which keeps the policy
+    /// deterministic.
+    pub fn insert(&mut self, entry: Rc<ExploredEntry>, cap: usize) -> bool {
+        let score = entry.shape.permissiveness();
         if self.entries.len() < cap {
-            let idx = self.entries.len();
-            self.buckets
-                .entry(entry.shape.bucket())
-                .or_default()
-                .push(idx);
+            self.order.push(self.entries.len() as u8);
             self.entries.push(entry);
+            self.scores.push(score);
             return false;
         }
-        let (idx, most_specific) = self
-            .entries
+        let (idx, &lowest) = self
+            .scores
             .iter()
             .enumerate()
-            .min_by_key(|(_, e)| e.permissiveness)
+            .min_by_key(|&(_, s)| s)
             .expect("cap > 0");
-        if entry.permissiveness <= most_specific.permissiveness {
+        if score <= lowest {
             // The incoming state admits no more than anything resident:
             // drop it instead.
             return true;
         }
-        let old_bucket = self.entries[idx].shape.bucket();
-        if let Some(v) = self.buckets.get_mut(&old_bucket) {
-            v.retain(|&i| i != idx);
-            if v.is_empty() {
-                self.buckets.remove(&old_bucket);
-            }
-        }
-        // Entry indices are stable (in-place replacement), so the other
-        // bucket vectors stay valid.
-        self.buckets
-            .entry(entry.shape.bucket())
-            .or_default()
-            .push(idx);
+        let slot = idx as u8;
+        self.order.retain(|&i| i != slot);
+        self.order.push(slot);
         self.entries[idx] = entry;
+        self.scores[idx] = score;
         true
     }
 }
@@ -373,14 +498,52 @@ mod tests {
         r
     }
 
-    fn entry(state: VerifierState) -> ExploredEntry {
+    fn entry(state: VerifierState) -> Rc<ExploredEntry> {
         let shape = StateShape::of(&state);
-        let permissiveness = permissiveness(&state);
-        ExploredEntry {
-            state: Rc::new(state),
-            shape,
-            permissiveness,
+        Rc::new(ExploredEntry::new(state, shape))
+    }
+
+    fn permissiveness(state: &VerifierState) -> u64 {
+        StateShape::of(state).permissiveness()
+    }
+
+    /// The eviction score as a plain two-level walk over every register
+    /// and stack byte — the reference the one-pass, cached computation
+    /// must reproduce.
+    fn reference_permissiveness(state: &VerifierState) -> u64 {
+        let mut score = 0u64;
+        for f in &state.frames {
+            for r in &f.regs {
+                score += reg_permissiveness(r);
+            }
+            for s in f.stack.iter() {
+                for b in &s.bytes {
+                    score += match b {
+                        StackByte::Invalid => 4,
+                        StackByte::Misc => 2,
+                        StackByte::Zero | StackByte::Spill => 0,
+                    };
+                }
+                if s.is_full_spill() {
+                    score += reg_permissiveness(&s.spilled) >> 3;
+                }
+            }
         }
+        score
+    }
+
+    fn map_value_ptr() -> RegState {
+        RegState::pointer(RegType::PtrToMapValue { map_id: 0 })
+    }
+
+    fn with_r2(r: RegState) -> VerifierState {
+        let mut s = entry_state();
+        s.cur_mut().regs[2] = r;
+        s
+    }
+
+    fn subsumes(old: &VerifierState, cur: &VerifierState) -> bool {
+        StateShape::of(old).may_subsume(&StateShape::of(cur))
     }
 
     #[test]
@@ -462,7 +625,11 @@ mod tests {
         }
         assert!(point.insert(entry(mid), 2));
         assert_eq!(point.len(), 2);
-        let scores: Vec<u64> = point.entries().iter().map(|e| e.permissiveness).collect();
+        let scores: Vec<u64> = point
+            .entries()
+            .iter()
+            .map(|e| e.shape.permissiveness())
+            .collect();
         assert!(scores.iter().all(|&s| s > permissiveness(&specific)));
         // A fully-specific incomer is dropped (still counts as an
         // eviction) and the residents survive.
@@ -475,19 +642,119 @@ mod tests {
             point
                 .entries()
                 .iter()
-                .map(|e| e.permissiveness)
+                .map(|e| e.shape.permissiveness())
                 .collect::<Vec<_>>(),
             scores
         );
     }
 
     #[test]
-    fn bucket_candidates_track_evictions() {
+    fn replaced_slot_moves_to_the_back_of_the_scan() {
         let mut point = ExploredPoint::default();
-        let e = entry(entry_state());
-        let bucket = e.shape.bucket();
-        point.insert(e, 4);
-        assert_eq!(point.bucket_candidates(bucket), &[0]);
-        assert!(point.bucket_candidates(bucket ^ 1).is_empty());
+        let scalars = |v: RegState| {
+            let mut s = entry_state();
+            for i in 0..=5 {
+                s.cur_mut().regs[i] = v;
+            }
+            s
+        };
+        let specific = entry(scalars(RegState::known_scalar(0)));
+        let permissive = entry(scalars(RegState::unknown_scalar()));
+        let mid = entry(scalars(ranged_scalar(1 << 20)));
+        point.insert(Rc::clone(&specific), 2);
+        point.insert(Rc::clone(&permissive), 2);
+        // `mid` replaces `specific` in slot 0, but is scanned last.
+        assert!(point.insert(Rc::clone(&mid), 2));
+        assert!(Rc::ptr_eq(&point.entries()[0], &mid));
+        let scan: Vec<_> = point.scan_order().collect();
+        assert!(Rc::ptr_eq(scan[0], &permissive));
+        assert!(Rc::ptr_eq(scan[1], &mid));
+    }
+
+    #[test]
+    fn pointer_offset_is_keyed() {
+        let old = with_r2(map_value_ptr());
+        let mut moved = map_value_ptr();
+        moved.off = 8;
+        let cur = with_r2(moved);
+        assert!(!crate::prune::states_equal(&old, &cur));
+        assert!(!subsumes(&old, &cur));
+        assert!(!subsumes(&cur, &old));
+        assert!(subsumes(&old, &with_r2(map_value_ptr())));
+    }
+
+    #[test]
+    fn pointer_nullness_and_var_off_are_keyed() {
+        let old = with_r2(map_value_ptr());
+        let mut nullable = map_value_ptr();
+        nullable.maybe_null = true;
+        assert!(!subsumes(&old, &with_r2(nullable)));
+        let mut variable = map_value_ptr();
+        variable.var_off = crate::tnum::Tnum::new(0, 0xf0);
+        assert!(!subsumes(&old, &with_r2(variable)));
+    }
+
+    #[test]
+    fn not_init_still_wildcards_a_pointer() {
+        let old = with_r2(RegState::not_init());
+        let mut moved = map_value_ptr();
+        moved.off = 24;
+        moved.maybe_null = true;
+        assert!(subsumes(&old, &with_r2(moved)));
+    }
+
+    #[test]
+    fn constant_registers_compare_low_bytes_first() {
+        let old = with_r2(RegState::known_scalar(5));
+        assert!(!subsumes(&old, &with_r2(RegState::known_scalar(6))));
+        assert!(subsumes(&old, &with_r2(RegState::known_scalar(5))));
+        // A ranged old register is not a constant: no low-byte test.
+        let ranged = with_r2(ranged_scalar(100));
+        assert!(subsumes(&ranged, &with_r2(RegState::known_scalar(6))));
+    }
+
+    #[test]
+    fn one_pass_score_matches_the_reference_walk() {
+        let mut s = entry_state();
+        let frame = s.cur_mut();
+        frame.regs[3] = ranged_scalar(1 << 12);
+        let mut spilled = map_value_ptr();
+        spilled.maybe_null = true;
+        let stack = frame.stack_mut();
+        stack[0] = StackSlot {
+            bytes: [StackByte::Spill; 8],
+            spilled: RegState::unknown_scalar(),
+        };
+        stack[1] = StackSlot {
+            bytes: [StackByte::Spill; 8],
+            spilled,
+        };
+        stack[2].bytes = [StackByte::Zero; 8];
+        stack[3].bytes = [StackByte::Misc; 8];
+        stack[4].bytes[2] = StackByte::Misc;
+        stack[5].bytes[7] = StackByte::Zero;
+        stack[6].bytes[0] = StackByte::Spill;
+        s.frames.push(Rc::new(FuncState::new(3, 7)));
+        assert_eq!(permissiveness(&s), reference_permissiveness(&s));
+        assert_eq!(
+            permissiveness(&entry_state()),
+            reference_permissiveness(&entry_state())
+        );
+    }
+
+    #[test]
+    fn stack_summary_is_cached_until_the_stack_is_written() {
+        let mut s = entry_state();
+        let before = StateShape::of(&s);
+        assert!(s.cur().stack_summary.is_filled(), "filled on use");
+        assert_eq!(s, entry_state(), "the cache is not part of equality");
+        // A register write keeps the stack, and its summary.
+        s.cur_mut().regs[3] = RegState::known_scalar(1);
+        assert!(s.cur().stack_summary.is_filled());
+        s.cur_mut().stack_mut()[0].bytes = [StackByte::Zero; 8];
+        assert!(!s.cur().stack_summary.is_filled(), "reset on write");
+        let after = StateShape::of(&s);
+        assert_ne!(before.main.stack_tags, after.main.stack_tags);
+        assert_eq!(permissiveness(&s), reference_permissiveness(&s));
     }
 }

@@ -8,6 +8,7 @@
 //! shared across the DFS worklist, the path trace, and the explored
 //! index.
 
+use std::cell::Cell;
 use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
@@ -76,12 +77,75 @@ pub struct FuncState {
     /// the frame pointer. Copy-on-write: reads go through `Deref`,
     /// writes through [`FuncState::stack_mut`], so cloning a frame that
     /// never touches its stack shares the 64-slot vector.
+    /// Never assign it directly: [`FuncState::stack_mut`] also drops
+    /// `stack_summary`, which would otherwise go stale.
     pub stack: Rc<Vec<StackSlot>>,
     /// Instruction index to return to (caller's call insn + 1); 0 for the
     /// main frame.
     pub callsite: usize,
     /// Subprogram entry instruction of this frame.
     pub subprog_start: usize,
+    /// The stack's fingerprint summary, computed on first use by
+    /// [`crate::shape::StateShape::of`] and reset by
+    /// [`FuncState::stack_mut`]. Stacks change far less often than
+    /// registers, so most prune checks reuse it.
+    pub(crate) stack_summary: SummaryCache,
+}
+
+/// The stack part of a frame's fingerprint: per-slot shape tags (two
+/// bits per slot) and the stack's share of the eviction score.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct StackSummary {
+    /// `01` = all bytes `ZERO`, `10` = full spill, `00` = anything
+    /// else; slot `i` at bits `2 * (i % 32)` of word `i / 32`.
+    pub tags: [u64; 2],
+    /// The stack's contribution to [`crate::shape::StateShape::permissiveness`].
+    pub score: u64,
+}
+
+/// A lazily filled [`StackSummary`]. A derived cache, so it compares
+/// equal to every other cache and serializes as `null`: two frames with
+/// the same stack are equal whether or not either summary is filled.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SummaryCache(Cell<Option<StackSummary>>);
+
+impl SummaryCache {
+    /// The cached summary, computing it with `f` on first use.
+    pub(crate) fn get_or(&self, f: impl FnOnce() -> StackSummary) -> StackSummary {
+        if let Some(s) = self.0.get() {
+            return s;
+        }
+        let s = f();
+        self.0.set(Some(s));
+        s
+    }
+
+    fn clear(&mut self) {
+        *self.0.get_mut() = None;
+    }
+
+    #[cfg(test)]
+    pub(crate) fn is_filled(&self) -> bool {
+        self.0.get().is_some()
+    }
+}
+
+impl PartialEq for SummaryCache {
+    fn eq(&self, _: &SummaryCache) -> bool {
+        true
+    }
+}
+
+impl Serialize for SummaryCache {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Null
+    }
+}
+
+impl Deserialize for SummaryCache {
+    fn from_value(_: &serde::Value) -> Result<SummaryCache, serde::Error> {
+        Ok(SummaryCache::default())
+    }
 }
 
 impl FuncState {
@@ -92,6 +156,7 @@ impl FuncState {
             stack: Rc::new(vec![StackSlot::default(); STACK_SLOTS]),
             callsite,
             subprog_start,
+            stack_summary: SummaryCache::default(),
         }
     }
 
@@ -116,6 +181,7 @@ impl FuncState {
     /// Mutable access to the stack slots, unsharing them first if the
     /// vector is shared with another state (copy-on-write).
     pub fn stack_mut(&mut self) -> &mut Vec<StackSlot> {
+        self.stack_summary.clear();
         Rc::make_mut(&mut self.stack)
     }
 

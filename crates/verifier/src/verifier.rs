@@ -13,7 +13,7 @@ use crate::errors::{RejectReason, VerifierError, VerifierPhase};
 use std::rc::Rc;
 
 use crate::prune::states_equal;
-use crate::shape::{permissiveness, ExploredEntry, StateShape};
+use crate::shape::{ExploredEntry, StateShape};
 use crate::state::{FuncState, VerifierState, MAX_CALL_FRAMES};
 use crate::types::{RegState, RegType};
 use bvf_telemetry::profile::elapsed_ns;
@@ -29,32 +29,106 @@ const MAX_STATES_PER_POINT: usize = 32;
 /// own ancestors, the loop can make no progress.
 struct PathNode {
     pc: usize,
-    /// Shared with the explored-index entry created at the same visit,
-    /// so the loop scan and the explored scan can recognize the same
-    /// candidate by `Rc` pointer identity and never compare it twice.
-    state: Rc<VerifierState>,
-    /// The state's structural fingerprint, computed once at push time.
-    shape: StateShape,
+    /// Distance from the root of the path trace.
+    depth: usize,
+    /// The state and its fingerprint, shared with the explored-index
+    /// entry created at the same visit, so the explored scan can reuse
+    /// the loop scan's verdict on it.
+    entry: Rc<ExploredEntry>,
     parent: Option<Rc<PathNode>>,
+    /// The nearest ancestor at the same pc; the loop scan follows these
+    /// links instead of walking every ancestor.
+    same_pc: Option<Rc<PathNode>>,
+}
+
+/// The nearest path-trace node at each pc on the current path — the
+/// head of that pc's `same_pc` chain, so the loop scan starts there
+/// without walking the trace.
+///
+/// The DFS worklist is LIFO, so a popped item's trace is always an
+/// ancestor of the head the previous path ended at; [`PathIndex::rewind`]
+/// unlinks the nodes in between. Every node is linked and unlinked at
+/// most once.
+struct PathIndex {
+    last_at: Vec<Option<Rc<PathNode>>>,
+}
+
+impl PathIndex {
+    /// An empty index for a program of `n` instruction slots.
+    fn new(n: usize) -> PathIndex {
+        PathIndex {
+            last_at: vec![None; n],
+        }
+    }
+
+    /// Appends a node for a visit at `pc` below `parent`, the current
+    /// head, and links it in front of that pc's chain.
+    fn extend(
+        &mut self,
+        parent: Option<Rc<PathNode>>,
+        pc: usize,
+        entry: Rc<ExploredEntry>,
+    ) -> Rc<PathNode> {
+        let node = Rc::new(PathNode {
+            pc,
+            depth: parent.as_ref().map_or(0, |p| p.depth + 1),
+            entry,
+            parent,
+            same_pc: self.last_at[pc].take(),
+        });
+        self.last_at[pc] = Some(Rc::clone(&node));
+        node
+    }
+
+    /// The loop scan's candidates for a visit at `pc` whose path head is
+    /// at `head_depth`: the nearest [`MAX_LOOP_CANDIDATES`] nodes at `pc`
+    /// within [`LOOP_SCAN_WINDOW`] nodes of the head, nearest first.
+    fn loop_candidates(&self, pc: usize, head_depth: usize) -> impl Iterator<Item = &PathNode> {
+        std::iter::successors(self.last_at[pc].as_deref(), |n| n.same_pc.as_deref())
+            .take_while(move |n| head_depth - n.depth < LOOP_SCAN_WINDOW)
+            .take(MAX_LOOP_CANDIDATES)
+    }
+
+    /// Unlinks every node from `head` up to, not including, `to`, which
+    /// must be `head` or one of its ancestors (`None`: the root).
+    fn rewind(&mut self, head: Option<Rc<PathNode>>, to: Option<&Rc<PathNode>>) {
+        let stop = to.map_or(std::ptr::null(), Rc::as_ptr);
+        let mut node = head;
+        while let Some(n) = node {
+            if Rc::as_ptr(&n) == stop {
+                return;
+            }
+            self.last_at[n.pc] = n.same_pc.clone();
+            node = n.parent.clone();
+        }
+        debug_assert!(stop.is_null(), "rewind target is not an ancestor");
+    }
 }
 
 // Long exploration paths build long parent chains; drop them iteratively
-// so deep programs cannot overflow the host stack.
+// so deep programs cannot overflow the host stack. A `same_pc` link
+// points at an ancestor the parent chain still holds, so releasing it
+// first never starts a nested drop.
 impl Drop for PathNode {
     fn drop(&mut self) {
         let mut next = self.parent.take();
+        self.same_pc = None;
         while let Some(rc) = next {
             match Rc::try_unwrap(rc) {
-                Ok(mut node) => next = node.parent.take(),
+                Ok(mut node) => {
+                    next = node.parent.take();
+                    node.same_pc = None;
+                }
                 Err(_) => break,
             }
         }
     }
 }
 
-/// How many ancestors the loop detector walks per prune point; an
-/// abstract loop revisits its head frequently, so a bounded window
-/// suffices and keeps pathological paths linear.
+/// How far up the path trace (in nodes from its head) the loop
+/// detector looks per prune point; an abstract loop revisits its head
+/// frequently, so a bounded window suffices and keeps pathological
+/// paths linear.
 const LOOP_SCAN_WINDOW: usize = 256;
 
 /// How many same-pc ancestors the loop detector actually *considers*
@@ -90,8 +164,9 @@ pub fn verify(
     prog_type: ProgType,
     opts: &VerifierOpts,
 ) -> VerifyOutcome {
+    let start = Instant::now();
     let mut v = Verifier::new(kernel, prog, prog_type, opts.clone());
-    let result = v.run();
+    let result = v.run(start);
     VerifyOutcome {
         result,
         cov: v.cov,
@@ -102,7 +177,9 @@ pub fn verify(
 
 impl<'a> Verifier<'a> {
     /// Runs all verification passes; on success the program is rewritten.
-    pub(crate) fn run(&mut self) -> Result<VerifiedProgram, VerifierError> {
+    /// `start` is when set-up began; the structure phase is timed from
+    /// there.
+    pub(crate) fn run(&mut self, start: Instant) -> Result<VerifiedProgram, VerifierError> {
         // Unprivileged loads are limited to the socket-filter class.
         if self.opts.unprivileged
             && !matches!(self.prog_type, ProgType::SocketFilter | ProgType::CgroupSkb)
@@ -120,9 +197,10 @@ impl<'a> Verifier<'a> {
         }
         // Pass 0: structural checks (decode validity, jump targets,
         // register ranges, proper ending), then pass 1: discover
-        // subprograms and prune points. Timed together as "structure",
-        // with the phase recorded before `?` so rejected loads keep it.
-        let t0 = Instant::now();
+        // subprograms and prune points. Timed together with set-up as
+        // "structure" — after a heavy load, set-up's first allocations
+        // are where the allocator settles that load's frees — with the
+        // phase recorded before `?` so rejected loads keep it.
         let structure = bvf_isa::validate_structure(&self.prog)
             .map_err(|e| {
                 self.cov.hit(Cat::Error, 1, 0);
@@ -140,22 +218,25 @@ impl<'a> Verifier<'a> {
                 self.insn_starts = starts;
                 self.scan_structure()
             });
-        self.timings.structure_ns = elapsed_ns(t0);
+        self.timings.structure_ns = elapsed_ns(start);
         structure?;
 
         // Pass 2: the main symbolic walk.
         let t0 = Instant::now();
         let checked = self.do_check();
-        self.timings.do_check_ns = elapsed_ns(t0);
-        self.timings.insns_processed = self.insn_processed as u64;
         // Index occupancy, recorded for accepted and rejected loads
-        // alike (the counters are observational).
-        for point in self.explored.values() {
+        // alike (the counters are observational). Nothing after the
+        // walk reads the index, so it is freed here too: tearing down
+        // thousands of stored states is the walk's cost, and billing it
+        // to `do_check_ns` keeps it in the phase timings.
+        for point in std::mem::take(&mut self.explored) {
             if !point.is_empty() {
                 self.timings.prune.points += 1;
                 self.timings.prune.states_stored += point.len() as u64;
             }
         }
+        self.timings.do_check_ns = elapsed_ns(t0);
+        self.timings.insns_processed = self.insn_processed as u64;
         checked?;
 
         // Pass 3: rewrite (pseudo resolution + fixups).
@@ -194,9 +275,11 @@ impl<'a> Verifier<'a> {
         let n = self.prog.insn_count();
         let mut in_degree = vec![0u32; n];
         let mut back_target = vec![false; n];
+        self.decoded = vec![None; n];
         let mut pc = 0;
         while pc < n {
             let (kind, slots) = self.prog.decode_at(pc).expect("validated");
+            self.decoded[pc] = Some((kind, slots));
             match kind {
                 InsnKind::JmpCond { off, .. } => {
                     let target = (pc as i64 + 1 + off as i64) as usize;
@@ -213,7 +296,7 @@ impl<'a> Verifier<'a> {
                 } => {
                     let target = (pc as i64 + 1 + off as i64) as usize;
                     self.subprog_starts.insert(target);
-                    self.prune_points.insert(target);
+                    self.prune_points[target] = true;
                     self.cov.hit(Cat::Subprog, 0, 0);
                     // Control flows back here from the callee's exits;
                     // the return site can join other flows.
@@ -227,7 +310,7 @@ impl<'a> Verifier<'a> {
         }
         for v in 0..n {
             if in_degree[v] >= 2 || back_target[v] {
-                self.prune_points.insert(v);
+                self.prune_points[v] = true;
             }
         }
         Ok(())
@@ -236,8 +319,11 @@ impl<'a> Verifier<'a> {
     fn do_check(&mut self) -> Result<(), VerifierError> {
         let mut worklist: Vec<(VerifierState, usize, Option<Rc<PathNode>>)> =
             vec![(VerifierState::entry(), 0, None)];
+        let mut path = PathIndex::new(self.prog.insn_count());
+        let mut head = None;
 
         while let Some((mut state, mut pc, mut trace)) = worklist.pop() {
+            path.rewind(head.take(), trace.as_ref());
             'path: loop {
                 self.insn_processed += 1;
                 if self.insn_processed > self.opts.insn_limit {
@@ -263,69 +349,64 @@ impl<'a> Verifier<'a> {
                 // Loop detection, then pruning. The whole block is billed
                 // to `prune_ns` (a subset of `do_check_ns`), so each of
                 // its three exits records the elapsed time first.
-                if self.prune_points.contains(&pc) {
+                if self.prune_points[pc] {
                     let prune_t0 = Instant::now();
                     let use_index = self.opts.prune_index;
                     let cur_shape = StateShape::of(&state);
                     self.timings.prune.checks += 1;
 
                     // Loop detection first, so the "infinite loop"
-                    // verdict cannot be masked by a prune. States it
-                    // actually compares are remembered by Rc identity;
-                    // the explored scan below shares them so each
-                    // (pc, state) pair is compared at most once per
-                    // visit. The fingerprint filter only skips
-                    // comparisons that must return false, so the
-                    // verdict is identical with the index off.
-                    let mut ancestors_compared: Vec<*const VerifierState> = Vec::new();
-                    let mut node = trace.as_ref();
-                    let mut scanned = 0;
-                    let mut candidates = 0;
-                    while let Some(n) = node {
-                        scanned += 1;
-                        if scanned > LOOP_SCAN_WINDOW || candidates >= MAX_LOOP_CANDIDATES {
-                            break;
-                        }
-                        if n.pc == pc {
-                            candidates += 1;
-                            if use_index && !n.shape.may_subsume(&cur_shape) {
-                                self.timings.prune.fingerprint_filtered += 1;
-                            } else {
-                                self.timings.prune.states_equal_calls += 1;
-                                if states_equal(&n.state, &state) {
-                                    self.cov.hit(Cat::Error, 16, 0);
-                                    self.timings.prune_ns += elapsed_ns(prune_t0);
-                                    return Err(VerifierError::invalid(
-                                        RejectReason::BackEdgeLimit,
-                                        pc,
-                                        format!("infinite loop detected at insn {pc}"),
-                                    ));
-                                }
-                                ancestors_compared.push(Rc::as_ptr(&n.state));
+                    // verdict cannot be masked by a prune. It considers
+                    // the nearest `MAX_LOOP_CANDIDATES` same-pc
+                    // ancestors within `LOOP_SCAN_WINDOW` nodes of the
+                    // head, reached through the path index and the
+                    // `same_pc` links. Each ancestor it examines is
+                    // marked with this check's verdict; the explored
+                    // scan below reuses the marks, so each (pc, state)
+                    // pair is fingerprinted and compared at most once
+                    // per visit. The fingerprint filter only skips
+                    // comparisons that must return false, so the verdict
+                    // is identical with the index off.
+                    let check = self.timings.prune.checks;
+                    let head_depth = trace.as_ref().map_or(0, |t| t.depth);
+                    for n in path.loop_candidates(pc, head_depth) {
+                        if use_index && !n.entry.shape.may_subsume(&cur_shape) {
+                            n.entry.mark(check, false);
+                            self.timings.prune.fingerprint_filtered += 1;
+                        } else {
+                            self.timings.prune.states_equal_calls += 1;
+                            if states_equal(&n.entry.state, &state) {
+                                self.cov.hit(Cat::Error, 16, 0);
+                                self.timings.prune_ns += elapsed_ns(prune_t0);
+                                return Err(VerifierError::invalid(
+                                    RejectReason::BackEdgeLimit,
+                                    pc,
+                                    format!("infinite loop detected at insn {pc}"),
+                                ));
                             }
+                            n.entry.mark(check, true);
                         }
-                        node = n.parent.as_ref();
                     }
 
                     // Explored-state scan. With the index on, only
-                    // bucket-matched, shape-compatible candidates reach
-                    // states_equal; "any candidate subsumes" is
-                    // order-insensitive, so both modes reach the same
-                    // prune decision.
-                    let point = self.explored.entry(pc).or_default();
+                    // shape-compatible candidates reach states_equal;
+                    // "any candidate subsumes" is order-insensitive, so
+                    // both modes reach the same prune decision.
+                    let point = &mut self.explored[pc];
                     let total = point.len() as u64;
                     let mut calls = 0u64;
                     let mut shared = 0u64;
                     let mut hit = false;
                     if use_index {
-                        for &i in point.bucket_candidates(cur_shape.bucket()) {
-                            let e = &point.entries()[i];
-                            if !e.shape.may_subsume(&cur_shape) {
-                                continue;
-                            }
-                            if ancestors_compared.contains(&Rc::as_ptr(&e.state)) {
-                                shared += 1;
-                                continue;
+                        for e in point.scan_order() {
+                            match e.marked(check) {
+                                Some(true) => {
+                                    shared += 1;
+                                    continue;
+                                }
+                                Some(false) => continue,
+                                None if !e.shape.may_subsume(&cur_shape) => continue,
+                                None => {}
                             }
                             calls += 1;
                             if states_equal(&e.state, &state) {
@@ -335,7 +416,7 @@ impl<'a> Verifier<'a> {
                         }
                     } else {
                         for e in point.entries() {
-                            if ancestors_compared.contains(&Rc::as_ptr(&e.state)) {
+                            if e.marked(check).is_some() {
                                 shared += 1;
                                 continue;
                             }
@@ -358,27 +439,14 @@ impl<'a> Verifier<'a> {
                         break 'path;
                     }
                     self.cov.hit(Cat::Prune, 0, 0);
-                    // One shared copy feeds both the explored index and
+                    // One shared entry feeds both the explored index and
                     // the path trace — that sharing is what lets the two
                     // scans recognize each other's candidates.
-                    let shared_state = Rc::new(state.clone());
-                    let evicted = point.insert(
-                        ExploredEntry {
-                            state: Rc::clone(&shared_state),
-                            shape: cur_shape.clone(),
-                            permissiveness: permissiveness(&state),
-                        },
-                        MAX_STATES_PER_POINT,
-                    );
-                    if evicted {
+                    let entry = Rc::new(ExploredEntry::new(state.clone(), cur_shape));
+                    if point.insert(Rc::clone(&entry), MAX_STATES_PER_POINT) {
                         self.timings.prune.evictions += 1;
                     }
-                    trace = Some(Rc::new(PathNode {
-                        pc,
-                        state: shared_state,
-                        shape: cur_shape,
-                        parent: trace.take(),
-                    }));
+                    trace = Some(path.extend(trace.take(), pc, entry));
                     self.timings.prune_ns += elapsed_ns(prune_t0);
                 }
 
@@ -389,7 +457,7 @@ impl<'a> Verifier<'a> {
                     self.snapshots.record(pc, &state);
                 }
 
-                let (kind, slots) = self.prog.decode_at(pc).expect("validated");
+                let (kind, slots) = self.decoded[pc].expect("validated");
                 self.cov
                     .hit(Cat::InsnClass, self.prog.insns()[pc].code as u32 & 0x07, 0);
                 self.logln(|| format!("{pc}: {}", bvf_isa::disasm::format_insn(pc, &kind)));
@@ -463,6 +531,7 @@ impl<'a> Verifier<'a> {
                     }
                 }
             }
+            head = trace;
         }
         Ok(())
     }
@@ -664,5 +733,70 @@ impl<'a> Verifier<'a> {
         }
         self.cov.hit(Cat::InsnClass, 100, 0);
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The loop scan's candidates by the plain definition: walk up from
+    /// the head, keep nodes at `pc` closer than the window, stop at the
+    /// candidate cap.
+    fn reference_candidates(head: Option<&Rc<PathNode>>, pc: usize) -> Vec<*const PathNode> {
+        let mut out = Vec::new();
+        let mut node = head;
+        let mut distance = 0;
+        while let Some(n) = node {
+            if distance >= LOOP_SCAN_WINDOW || out.len() >= MAX_LOOP_CANDIDATES {
+                break;
+            }
+            if n.pc == pc {
+                out.push(Rc::as_ptr(n));
+            }
+            distance += 1;
+            node = n.parent.as_ref();
+        }
+        out
+    }
+
+    /// Random DFS traffic — extend, branch, finish a path and pop the
+    /// last branch — must leave the index's candidates equal to the
+    /// plain walk's at every step. Few pcs overflow the candidate cap;
+    /// a rare pc has candidates only the window cuts off.
+    #[test]
+    fn path_index_matches_the_plain_ancestor_walk() {
+        let state = VerifierState::entry();
+        let entry = Rc::new(ExploredEntry::new(state.clone(), StateShape::of(&state)));
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut path = PathIndex::new(8);
+        let mut worklist: Vec<Option<Rc<PathNode>>> = Vec::new();
+        let mut head: Option<Rc<PathNode>> = None;
+        for _ in 0..20_000 {
+            match rng.gen_range(0..100) {
+                0..=1 => {
+                    // The path ends; resume the most recent branch.
+                    if let Some(to) = worklist.pop() {
+                        path.rewind(head.take(), to.as_ref());
+                        head = to;
+                    }
+                }
+                2..=4 => worklist.push(head.clone()),
+                r => {
+                    let pc = if r < 98 { rng.gen_range(0..4) } else { 7 };
+                    head = Some(path.extend(head.take(), pc, Rc::clone(&entry)));
+                }
+            }
+            let depth = head.as_ref().map_or(0, |h| h.depth);
+            for pc in [0, 3, 7] {
+                let got: Vec<_> = path
+                    .loop_candidates(pc, depth)
+                    .map(|n| n as *const PathNode)
+                    .collect();
+                assert_eq!(got, reference_candidates(head.as_ref(), pc));
+            }
+        }
     }
 }

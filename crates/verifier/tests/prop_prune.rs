@@ -14,10 +14,16 @@
 //! The first property fuzzes exactly that implication over arbitrary
 //! state pairs.
 //!
-//! The second property checks the same fact end to end: verifying a
-//! random program with the index on and off must produce the identical
-//! verdict, instruction count, and coverage — the index may only change
-//! how many comparisons run, never their outcome.
+//! The pointer-key property checks the other direction for the fields
+//! the fingerprint keys exactly: two states that differ only in one
+//! pointer's `off`, `var_off` or `maybe_null` must be told apart. A
+//! seeded defect (a key that forgets `var_off`) shows that property has
+//! teeth.
+//!
+//! The last property checks the pure-filter fact end to end: verifying
+//! a random program with the index on and off must produce the
+//! identical verdict, instruction count, and coverage — the index may
+//! only change how many comparisons run, never their outcome.
 
 use std::rc::Rc;
 
@@ -27,13 +33,31 @@ use bvf_kernel_sim::{BugSet, Kernel};
 use bvf_verifier::prune::states_equal;
 use bvf_verifier::state::{FuncState, StackByte, StackSlot, VerifierState};
 use bvf_verifier::types::{RegState, RegType};
-use bvf_verifier::{verify, StateShape, VerifierOpts};
+use bvf_verifier::{verify, StateShape, Tnum, VerifierOpts};
 use proptest::prelude::*;
+
+/// The pointer fields `regsafe` requires to match exactly, drawn from
+/// small domains so equal and unequal pairs both come up often: `off`,
+/// `var_off` and `maybe_null`.
+fn arb_ptr_fields() -> impl Strategy<Value = (i32, Tnum, bool)> {
+    (0i32..3, 0usize..3, any::<bool>()).prop_map(|(off, var, maybe_null)| {
+        let var_off = [Tnum::const_val(0), Tnum::new(0, 0xf0), Tnum::new(8, 0x30)][var];
+        (off * 8, var_off, maybe_null)
+    })
+}
+
+fn with_fields(mut r: RegState, (off, var_off, maybe_null): (i32, Tnum, bool)) -> RegState {
+    r.off = off;
+    r.var_off = var_off;
+    r.maybe_null = maybe_null;
+    r
+}
 
 /// An arbitrary register state covering every [`RegType`] discriminant
 /// the generator can reach, with scalar bounds that are sometimes wide
 /// and sometimes tight (so subsumption holds often enough for the
-/// implication to be exercised in the non-vacuous direction).
+/// implication to be exercised in the non-vacuous direction), and
+/// pointers whose keyed fields vary.
 fn arb_reg() -> impl Strategy<Value = RegState> {
     prop_oneof![
         Just(RegState::not_init()),
@@ -48,12 +72,11 @@ fn arb_reg() -> impl Strategy<Value = RegState> {
             r
         }),
         Just(RegState::pointer(RegType::PtrToCtx)),
-        Just(RegState::pointer(RegType::PtrToStack)),
-        (0u32..3, any::<bool>()).prop_map(|(map_id, maybe_null)| {
-            let mut r = RegState::pointer(RegType::PtrToMapValue { map_id });
-            r.maybe_null = maybe_null;
-            r
+        arb_ptr_fields().prop_map(|f| with_fields(RegState::pointer(RegType::PtrToStack), f)),
+        (0u32..3, arb_ptr_fields()).prop_map(|(map_id, f)| {
+            with_fields(RegState::pointer(RegType::PtrToMapValue { map_id }), f)
         }),
+        arb_ptr_fields().prop_map(|f| with_fields(RegState::pointer(RegType::PtrToPacket), f)),
         (0u32..3).prop_map(|map_id| RegState::pointer(RegType::ConstPtrToMap { map_id })),
     ]
 }
@@ -154,6 +177,73 @@ proptest! {
         let s = StateShape::of(&state);
         prop_assert!(s.may_subsume(&s));
     }
+
+    /// The pointer key is exact: states that differ only in one
+    /// pointer's keyed fields are admitted exactly when those fields
+    /// agree.
+    #[test]
+    fn pointer_key_is_exact(case in arb_ptr_case()) {
+        prop_assert!(ptr_case_holds(&case, StateShape::of), "{:?}", case.1);
+    }
+}
+
+/// A base state, a register index, and the old and current pointer that
+/// register holds: one type, fields drawn independently.
+type PtrCase = (VerifierState, (usize, RegState, RegState));
+
+fn arb_ptr_case() -> impl Strategy<Value = PtrCase> {
+    let ptr = (0usize..3, 0u32..2).prop_map(|(kind, map_id)| {
+        RegState::pointer(match kind {
+            0 => RegType::PtrToStack,
+            1 => RegType::PtrToPacket,
+            _ => RegType::PtrToMapValue { map_id },
+        })
+    });
+    (
+        arb_state(),
+        (0usize..10, ptr, arb_ptr_fields(), arb_ptr_fields())
+            .prop_map(|(i, r, old, cur)| (i, with_fields(r, old), with_fields(r, cur))),
+    )
+}
+
+/// Whether `shape_of` separates the case's two states exactly when
+/// their pointers' keyed fields differ.
+fn ptr_case_holds(
+    (base, (i, old_reg, cur_reg)): &PtrCase,
+    shape_of: fn(&VerifierState) -> StateShape,
+) -> bool {
+    let mut old = base.clone();
+    old.cur_mut().regs[*i] = *old_reg;
+    let mut cur = base.clone();
+    cur.cur_mut().regs[*i] = *cur_reg;
+    let same = (old_reg.off, old_reg.var_off, old_reg.maybe_null)
+        == (cur_reg.off, cur_reg.var_off, cur_reg.maybe_null);
+    states_equal(&old, &cur) == same && shape_of(&old).may_subsume(&shape_of(&cur)) == same
+}
+
+/// The seeded defect: a pointer key that forgets `var_off`.
+fn key_without_var_off(r: &RegState) -> u64 {
+    u64::from(r.off as u32) | (u64::from(r.maybe_null) << 32)
+}
+
+/// The pointer-key property must catch a key that omits `var_off`, on
+/// a fixed seed within the usual case budget — otherwise it would pass
+/// a filter that lets every `var_off` mismatch through to
+/// `states_equal`.
+#[test]
+fn pointer_key_property_catches_a_key_without_var_off() {
+    use proptest::__SeedableRng;
+    let weak = |s: &VerifierState| StateShape::of_with_ptr_key(s, key_without_var_off);
+    let mut rng = proptest::TestRng::seed_from_u64(13);
+    let caught = (0..proptest::CASES)
+        .map(|_| arb_ptr_case().sample(&mut rng))
+        .filter(|case| !ptr_case_holds(case, weak))
+        .count();
+    assert!(caught > 0, "the weakened key went unnoticed");
+    // The real key passes the same cases.
+    let mut rng = proptest::TestRng::seed_from_u64(13);
+    assert!((0..proptest::CASES)
+        .all(|_| ptr_case_holds(&arb_ptr_case().sample(&mut rng), StateShape::of)));
 }
 
 /// Instruction soup for the end-to-end property: ALU ops, bounded
