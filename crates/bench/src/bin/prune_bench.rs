@@ -17,13 +17,133 @@
 //! fuzz --json-out` emits, so committed results and campaign dumps
 //! stay comparable.
 //!
+//! With `--fixture PATH` it instead verifies the one scenario in `PATH`
+//! (for example `tests/fixtures/complexity_limit_iter323.json`)
+//! [`FIXTURE_RUNS`] times with the index on and off, under the default
+//! campaign's kernel, and reports the median `do_check` nanoseconds per
+//! processed instruction — the verifier's per-instruction cost on one
+//! program, free of the campaign around it. Results go to
+//! `bench_results/prune_bench_fixture.json`.
+//!
 //! Usage: `prune_bench [--iters N] [--seed S] [--quick] [--check]`
+//!        `prune_bench --fixture PATH`
 
 use bvf::baseline::GeneratorKind;
 use bvf::fuzz::CampaignConfig;
+use bvf::scenario::{run_scenario_prune_index, Scenario};
 use bvf_bench::{arg_flag, arg_usize, render_table, run_campaign_with_stats, save_json};
+use bvf_runtime::BpfError;
+use bvf_telemetry::PhaseTimings;
+
+/// Verifications per index setting in `--fixture` mode.
+const FIXTURE_RUNS: usize = 10;
+
+/// The value following `name` on the command line, if any.
+fn arg_str(name: &str) -> Option<String> {
+    let args: Vec<String> = std::env::args().collect();
+    let i = args.iter().position(|a| a == name)?;
+    args.get(i + 1).cloned()
+}
+
+/// `--fixture` mode: the per-instruction cost of verifying one program.
+fn fixture(path: &str) {
+    let scenario: Scenario = std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| serde_json::from_str(&text).map_err(|e| e.to_string()))
+        .unwrap_or_else(|e| {
+            eprintln!("prune_bench: cannot load {path}: {e}");
+            std::process::exit(2);
+        });
+    let cfg = CampaignConfig::new(GeneratorKind::Bvf, 0, 0);
+    // One setting's runs: the verdict, the last run's timings, and the
+    // median do_check ns per processed insn.
+    let measure = |prune_index: bool| {
+        let mut per_insn = Vec::with_capacity(FIXTURE_RUNS);
+        let mut last = None;
+        for _ in 0..FIXTURE_RUNS {
+            let out = run_scenario_prune_index(
+                &scenario,
+                &cfg.bugs,
+                cfg.version,
+                cfg.sanitize,
+                prune_index,
+            );
+            let t = out.timings;
+            per_insn.push(t.do_check_ns as f64 / t.insns_processed.max(1) as f64);
+            let verdict = match &out.load {
+                Ok(_) => "accepted".to_string(),
+                Err(BpfError::Verifier(e)) => e.reason.name().to_string(),
+                Err(e) => format!("{e:?}"),
+            };
+            last = Some((verdict, t, out.cov));
+        }
+        per_insn.sort_by(f64::total_cmp);
+        let (verdict, t, cov) = last.expect("FIXTURE_RUNS > 0");
+        (verdict, t, cov, per_insn[FIXTURE_RUNS / 2])
+    };
+    let (verdict, on, cov_on, ns_on) = measure(true);
+    let (verdict_off, off, cov_off, ns_off) = measure(false);
+    // The pure-filter invariant on one program.
+    assert_eq!(verdict, verdict_off, "index changed the verdict");
+    assert_eq!(
+        on.insns_processed, off.insns_processed,
+        "index changed the processed instructions"
+    );
+    assert_eq!(cov_on, cov_off, "index changed coverage");
+
+    let counters = |t: &PhaseTimings| {
+        format!(
+            "{} checks, {} hits, {} states_equal",
+            t.prune.checks, t.prune.hits, t.prune.states_equal_calls
+        )
+    };
+    let rows = vec![
+        vec!["program".into(), path.to_string()],
+        vec![
+            "type / insns".into(),
+            format!("{:?} / {}", scenario.prog_type, scenario.prog.insn_count()),
+        ],
+        vec!["verdict".into(), verdict.clone()],
+        vec!["processed insns".into(), on.insns_processed.to_string()],
+        vec!["prune (on)".into(), counters(&on)],
+        vec!["prune (off)".into(), counters(&off)],
+        vec![
+            "do_check ns / processed insn (on)".into(),
+            format!("{ns_on:.1}"),
+        ],
+        vec![
+            "do_check ns / processed insn (off)".into(),
+            format!("{ns_off:.1}"),
+        ],
+    ];
+    println!(
+        "
+verifier cost on one program (median of {FIXTURE_RUNS} runs)
+"
+    );
+    println!("{}", render_table(&["Metric", "Value"], &rows));
+    save_json(
+        "prune_bench_fixture.json",
+        &serde_json::json!({
+            "fixture": path,
+            "runs": FIXTURE_RUNS,
+            "verdict": verdict,
+            "insns_processed": on.insns_processed,
+            "prune_checks": on.prune.checks,
+            "prune_hits": on.prune.hits,
+            "states_equal_calls_on": on.prune.states_equal_calls,
+            "states_equal_calls_off": off.prune.states_equal_calls,
+            "do_check_ns_per_insn_on": ns_on,
+            "do_check_ns_per_insn_off": ns_off,
+        }),
+    );
+}
 
 fn main() {
+    if let Some(path) = arg_str("--fixture") {
+        fixture(&path);
+        return;
+    }
     let quick = arg_flag("--quick");
     let check = arg_flag("--check");
     let iters = arg_usize("--iters", if quick { 2_000 } else { 20_000 });

@@ -32,6 +32,10 @@
 //! compares the dual-run rate against the committed 1-core baseline
 //! (`bench_results/throughput_san_1core.json`).
 //!
+//! Every result file records the kernel's injected-defect set in
+//! `bugs`: `"all"` for the campaign rows, `"none"` for the two overhead
+//! pairs, so rates from different modes are not compared by mistake.
+//!
 //! Rows whose worker count exceeds `available_parallelism` are tagged
 //! `oversubscribed: true` in the JSON and never feed
 //! `--check-regression` — a time-sliced rate measures the scheduler,
@@ -44,6 +48,7 @@ use bvf::baseline::GeneratorKind;
 use bvf::fuzz::CampaignConfig;
 use bvf_bench::{arg_flag, arg_usize, render_table, save_json};
 use bvf_campaign::{run_sharded, ParallelConfig};
+use bvf_kernel_sim::BugSet;
 
 fn arg_worker_list(default: &[usize]) -> Vec<usize> {
     let args: Vec<String> = std::env::args().collect();
@@ -57,6 +62,16 @@ fn arg_worker_list(default: &[usize]) -> Vec<usize> {
                 .collect()
         })
         .unwrap_or_else(|| default.to_vec())
+}
+
+/// The kernel's injected-defect set as the result JSON records it: the
+/// campaign rows run every defect, the oracle-overhead pairs none.
+fn bugs_label(bugs: &BugSet) -> &'static str {
+    match bugs {
+        b if *b == BugSet::all() => "all",
+        b if *b == BugSet::none() => "none",
+        _ => unreachable!("throughput runs every defect or none"),
+    }
 }
 
 /// The committed 1-core campaign baseline.
@@ -82,7 +97,7 @@ fn diff_overhead(iters: usize, seed: u64, quick: bool) {
     // Overhead is measured on the fixed kernel: with defects injected
     // the oracle would also spend time on real divergences and triage,
     // conflating detection cost with per-instruction checking cost.
-    cfg.bugs = bvf_kernel_sim::BugSet::none();
+    cfg.bugs = BugSet::none();
     let off = run_sharded(&cfg, &pcfg);
     cfg.diff_oracle = true;
     let on = run_sharded(&cfg, &pcfg);
@@ -132,6 +147,7 @@ fn diff_overhead(iters: usize, seed: u64, quick: bool) {
         &serde_json::json!({
             "iters": iters,
             "seed": seed,
+            "bugs": bugs_label(&cfg.bugs),
             "quick": quick,
             "execs_per_sec_off": rate_off,
             "execs_per_sec_on": rate_on,
@@ -166,7 +182,7 @@ fn san_overhead(iters: usize, seed: u64, quick: bool, max_regression_pct: usize)
     // Overhead is measured on the defect-free kernel and sanitizer:
     // injected defects would add divergence handling and triage to the
     // per-iteration cost.
-    cfg.bugs = bvf_kernel_sim::BugSet::none();
+    cfg.bugs = BugSet::none();
     let off = run_sharded(&cfg, &pcfg);
     cfg.san_diff = true;
     let on = run_sharded(&cfg, &pcfg);
@@ -216,6 +232,7 @@ fn san_overhead(iters: usize, seed: u64, quick: bool, max_regression_pct: usize)
         &serde_json::json!({
             "iters": iters,
             "seed": seed,
+            "bugs": bugs_label(&cfg.bugs),
             "quick": quick,
             "execs_per_sec_off": rate_off,
             "execs_per_sec_on": rate_on,
@@ -393,6 +410,7 @@ fn main() {
         &serde_json::json!({
             "iters": iters,
             "seed": seed,
+            "bugs": bugs_label(&cfg.bugs),
             "available_parallelism": cores,
             // In-process benches always span one host; the field keeps
             // the header comparable with fabric-scale (multi-host)

@@ -167,6 +167,19 @@ pub fn run_scenario_diff(
     run_scenario_inner(scenario, bugs, version, sanitize, true, true, None)
 }
 
+/// [`run_scenario`] with the explored-state index toggled by
+/// `prune_index` (a pure filter: verdicts, coverage and the processed
+/// instruction count are identical either way).
+pub fn run_scenario_prune_index(
+    scenario: &Scenario,
+    bugs: &BugSet,
+    version: KernelVersion,
+    sanitize: bool,
+    prune_index: bool,
+) -> ScenarioOutcome {
+    run_scenario_inner(scenario, bugs, version, sanitize, false, prune_index, None)
+}
+
 /// [`run_scenario`]/[`run_scenario_diff`] with every verifier knob
 /// explicit, reusing an [`ExecScratch`]'s buffers (memory pool, KASAN
 /// shadow, trace steps) instead of allocating fresh ones — the

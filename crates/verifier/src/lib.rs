@@ -35,7 +35,7 @@ pub use cov::{Cat, Coverage};
 pub use env::{AluLimitMeta, InsnMeta, KernelVersion, VerifiedProgram, VerifierOpts};
 pub use errors::{ErrorKind, RejectReason, VerifierError, VerifierPhase};
 pub use sanitize::{instrument, SanitizeError, SanitizeStats};
-pub use shape::StateShape;
+pub use shape::{FilterKey, StateShape};
 pub use snapshot::{InsnStates, RegSnapshot, SnapshotStream};
 pub use tnum::Tnum;
 pub use types::{RegState, RegType};

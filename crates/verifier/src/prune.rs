@@ -43,7 +43,11 @@ fn funcsafe(old: &FuncState, cur: &FuncState) -> bool {
     if std::rc::Rc::ptr_eq(&old.stack, &cur.stack) {
         return true;
     }
-    for (so, sc) in old.stack.iter().zip(cur.stack.iter()) {
+    // Slots past the old stack's allocated depth are `INVALID`, which
+    // admits anything; the current stack is read through `Index`, which
+    // sees `INVALID` past its own depth.
+    for (i, so) in old.stack.iter().enumerate() {
+        let sc = &cur.stack[i];
         for (bo, bc) in so.bytes.iter().zip(&sc.bytes) {
             let ok = match bo {
                 StackByte::Invalid => true,

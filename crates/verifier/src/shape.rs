@@ -26,11 +26,19 @@
 //! The same pass computes the state's eviction score
 //! ([`StateShape::permissiveness`]); the stack part of both is cached
 //! on the frame (see [`FuncState::stack_mut`]).
+//!
+//! A [`FilterKey`] is a small, fixed-size necessary condition of
+//! [`StateShape::may_subsume`]. The prune scans keep it next to each
+//! candidate (contiguous in [`ExploredPoint`], inline in the path
+//! trace), so most candidates are rejected without dereferencing the
+//! stored state or its full shape.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
-use crate::state::{FuncState, StackByte, StackSlot, StackSummary, VerifierState};
+use crate::state::{
+    FuncState, Stack, StackByte, StackSlot, StackSummary, VerifierState, STACK_SLOTS,
+};
 use crate::types::{RegState, RegType};
 
 /// Nibble-spread helper: maps every nonzero 4-bit lane of `tags` to
@@ -224,9 +232,13 @@ impl FrameShape {
 }
 
 /// The stack part of a frame's fingerprint and eviction score, in one
-/// pass over the slots.
-fn stack_summary(stack: &[StackSlot]) -> StackSummary {
-    let mut summary = StackSummary::default();
+/// pass over the allocated slots. Every slot past the allocated depth
+/// is `INVALID`: shape tag `00` and the score of eight invalid bytes.
+fn stack_summary(stack: &Stack) -> StackSummary {
+    let mut summary = StackSummary {
+        tags: [0; 2],
+        score: (STACK_SLOTS - stack.allocated()) as u64 * INVALID_SLOT_SCORE,
+    };
     for (i, slot) in stack.iter().enumerate() {
         let (tag, score) = slot_summary(slot);
         summary.tags[i / 32] |= tag << ((i % 32) * 2);
@@ -235,12 +247,15 @@ fn stack_summary(stack: &[StackSlot]) -> StackSummary {
     summary
 }
 
+/// The eviction score of an untouched slot: 4 per `INVALID` byte.
+const INVALID_SLOT_SCORE: u64 = 8 * 4;
+
 /// One slot's shape tag and eviction score. The three uniform slots a
 /// stack is mostly made of (untouched, zeroed, one spilled register)
 /// take a fast path; mixed slots score byte by byte.
 fn slot_summary(slot: &StackSlot) -> (u64, u64) {
     if slot.bytes == [StackByte::Invalid; 8] {
-        (0b00, 8 * 4)
+        (0b00, INVALID_SLOT_SCORE)
     } else if slot.bytes == [StackByte::Zero; 8] {
         (0b01, 0)
     } else if slot.bytes == [StackByte::Spill; 8] {
@@ -349,6 +364,66 @@ impl StateShape {
                 .zip(&cur.calls)
                 .all(|(o, c)| o.may_subsume(c))
     }
+
+    /// The prefilter key of this shape.
+    pub fn filter(&self) -> FilterKey {
+        let m = &self.main;
+        let mut ptr_fold = 0;
+        let mut ptrs = m.ptr_regs;
+        while ptrs != 0 {
+            ptr_fold = mix(ptr_fold, m.ptr_key[ptrs.trailing_zeros() as usize]);
+            ptrs &= ptrs - 1;
+        }
+        FilterKey {
+            bucket: self.bucket,
+            reg_tags: m.reg_tags,
+            reg_mask: m.reg_mask,
+            umin_low: [m.umin_low as u64, (m.umin_low >> 64) as u64],
+            const_lanes: [m.const_lanes as u64, (m.const_lanes >> 64) as u64],
+            ptr_fold,
+            ptr_regs: m.ptr_regs,
+        }
+    }
+}
+
+/// The prune prefilter: the bucket and the main frame's most selective
+/// fingerprint lanes, plus one hash folding the main frame's pointer
+/// keys — small enough (72 bytes) to keep contiguous beside the
+/// candidates it screens.
+///
+/// [`FilterKey::may_pass`] is a necessary condition of
+/// [`StateShape::may_subsume`]: every test it makes, `may_subsume`
+/// makes too. A prune scan may therefore run it first and drop the
+/// candidate on `false` without changing which candidates reach
+/// `states_equal` or any counter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FilterKey {
+    bucket: u64,
+    reg_tags: u64,
+    reg_mask: u64,
+    umin_low: [u64; 2],
+    const_lanes: [u64; 2],
+    /// SplitMix64 fold of the pointer keys of the `ptr_regs`
+    /// registers, lowest register first.
+    ptr_fold: u64,
+    ptr_regs: u16,
+}
+
+impl FilterKey {
+    /// Whether a stored (old) state with key `self` can possibly subsume
+    /// a current state with key `cur`. `false` guarantees
+    /// `may_subsume` (and so `states_equal`) is `false`.
+    pub fn may_pass(&self, cur: &FilterKey) -> bool {
+        let lanes = ((self.umin_low[0] ^ cur.umin_low[0]) & self.const_lanes[0])
+            | ((self.umin_low[1] ^ cur.umin_low[1]) & self.const_lanes[1]);
+        // The pointer folds cover the same registers only when both
+        // states hold pointers in the same registers; otherwise the
+        // per-register keys in `may_subsume` decide.
+        lanes == 0
+            && (self.reg_tags ^ cur.reg_tags) & self.reg_mask == 0
+            && self.bucket == cur.bucket
+            && (self.ptr_regs != cur.ptr_regs || self.ptr_fold == cur.ptr_fold)
+    }
 }
 
 fn reg_permissiveness(r: &RegState) -> u64 {
@@ -414,11 +489,13 @@ impl ExploredEntry {
 /// lists the slots in scan order — insertion order, with a replaced
 /// slot moving to the back. The fast path scans in that order and
 /// skips candidates whose fingerprint cannot subsume the current
-/// state. `scores` mirrors each slot's eviction score, so choosing a
-/// victim reads one small array instead of every entry.
+/// state. `keys` and `scores` mirror each slot's [`FilterKey`] and
+/// eviction score, so the prefilter and the choice of a victim read
+/// small contiguous arrays instead of every entry.
 #[derive(Debug, Clone, Default)]
 pub struct ExploredPoint {
     entries: Vec<Rc<ExploredEntry>>,
+    keys: Vec<FilterKey>,
     scores: Vec<u64>,
     order: Vec<u8>,
 }
@@ -439,24 +516,31 @@ impl ExploredPoint {
         &self.entries
     }
 
-    /// All stored entries in scan order (oldest insertion first).
-    pub fn scan_order(&self) -> impl Iterator<Item = &Rc<ExploredEntry>> {
-        self.order.iter().map(|&i| &self.entries[usize::from(i)])
+    /// All stored entries in scan order (oldest insertion first), each
+    /// with its prefilter key.
+    pub fn scan_order(&self) -> impl Iterator<Item = (&FilterKey, &Rc<ExploredEntry>)> {
+        self.order.iter().map(|&i| {
+            let i = usize::from(i);
+            (&self.keys[i], &self.entries[i])
+        })
     }
 
-    /// Stores `entry`, evicting the most specific resident state when
-    /// the point is at `cap` (at most 256). The incoming state is
-    /// itself dropped when it is the most specific of the lot — the
-    /// states most likely to subsume future paths are the ones kept.
-    /// Returns `true` when an eviction (either direction) happened.
+    /// Stores `entry` and its prefilter key, evicting the most
+    /// specific resident state when the point is at `cap` (at most
+    /// 256). The incoming state is itself dropped when it is the most
+    /// specific of the lot — the states most likely to subsume future
+    /// paths are the ones kept. Returns `true` when an eviction (either
+    /// direction) happened.
     ///
     /// Ties break on the lowest slot, which keeps the policy
     /// deterministic.
     pub fn insert(&mut self, entry: Rc<ExploredEntry>, cap: usize) -> bool {
+        let key = entry.shape.filter();
         let score = entry.shape.permissiveness();
         if self.entries.len() < cap {
             self.order.push(self.entries.len() as u8);
             self.entries.push(entry);
+            self.keys.push(key);
             self.scores.push(score);
             return false;
         }
@@ -475,6 +559,7 @@ impl ExploredPoint {
         self.order.retain(|&i| i != slot);
         self.order.push(slot);
         self.entries[idx] = entry;
+        self.keys[idx] = key;
         self.scores[idx] = score;
         true
     }
@@ -508,15 +593,18 @@ mod tests {
     }
 
     /// The eviction score as a plain two-level walk over every register
-    /// and stack byte — the reference the one-pass, cached computation
-    /// must reproduce.
+    /// and every logical stack byte — the reference the one-pass,
+    /// cached computation must reproduce. It reads all `STACK_SLOTS`
+    /// slots through `Index`, never the allocated ones only, so the
+    /// unallocated slots' share is checked too.
     fn reference_permissiveness(state: &VerifierState) -> u64 {
         let mut score = 0u64;
         for f in &state.frames {
             for r in &f.regs {
                 score += reg_permissiveness(r);
             }
-            for s in f.stack.iter() {
+            for i in 0..STACK_SLOTS {
+                let s = &f.stack[i];
                 for b in &s.bytes {
                     score += match b {
                         StackByte::Invalid => 4,
@@ -666,7 +754,7 @@ mod tests {
         // `mid` replaces `specific` in slot 0, but is scanned last.
         assert!(point.insert(Rc::clone(&mid), 2));
         assert!(Rc::ptr_eq(&point.entries()[0], &mid));
-        let scan: Vec<_> = point.scan_order().collect();
+        let scan: Vec<_> = point.scan_order().map(|(_, e)| e).collect();
         assert!(Rc::ptr_eq(scan[0], &permissive));
         assert!(Rc::ptr_eq(scan[1], &mid));
     }
@@ -740,6 +828,57 @@ mod tests {
             permissiveness(&entry_state()),
             reference_permissiveness(&entry_state())
         );
+    }
+
+    #[test]
+    fn equal_stacks_at_different_depths_share_a_fingerprint() {
+        let mut deep = entry_state();
+        deep.cur_mut().stack_mut()[40].bytes = [StackByte::Zero; 8];
+        deep.cur_mut().stack_mut()[40] = StackSlot::INVALID;
+        let shallow = entry_state();
+        assert_eq!(deep.cur().stack.allocated(), 41);
+        assert_eq!(StateShape::of(&deep), StateShape::of(&shallow));
+        assert_eq!(permissiveness(&deep), reference_permissiveness(&deep));
+        // The deepest slot still reaches the fingerprint's tags.
+        deep.cur_mut().stack_mut()[STACK_SLOTS - 1].bytes = [StackByte::Zero; 8];
+        assert!(!subsumes(&deep, &shallow));
+        assert!(subsumes(&shallow, &deep));
+    }
+
+    fn passes(old: &VerifierState, cur: &VerifierState) -> bool {
+        StateShape::of(old)
+            .filter()
+            .may_pass(&StateShape::of(cur).filter())
+    }
+
+    #[test]
+    fn prefilter_rejects_constants_types_and_pointer_keys() {
+        let old = with_r2(map_value_ptr());
+        assert!(passes(&old, &with_r2(map_value_ptr())));
+        let mut moved = map_value_ptr();
+        moved.off = 8;
+        assert!(!passes(&old, &with_r2(moved)), "pointer fold");
+        let five = with_r2(RegState::known_scalar(5));
+        assert!(!passes(&five, &with_r2(RegState::known_scalar(6))));
+        assert!(!passes(&five, &old), "type tags");
+        let mut two = entry_state();
+        two.frames.push(Rc::new(FuncState::new(3, 7)));
+        assert!(!passes(&two, &entry_state()), "bucket");
+    }
+
+    #[test]
+    fn prefilter_key_stays_small() {
+        assert_eq!(std::mem::size_of::<FilterKey>(), 72);
+    }
+
+    #[test]
+    fn prefilter_leaves_differing_pointer_sets_to_the_fingerprint() {
+        // Old R2 is NOT_INIT, current R2 a pointer: the pointer sets
+        // differ, so the folds are not comparable and the key passes.
+        let old = with_r2(RegState::not_init());
+        let cur = with_r2(map_value_ptr());
+        assert!(subsumes(&old, &cur));
+        assert!(passes(&old, &cur));
     }
 
     #[test]

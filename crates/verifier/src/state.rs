@@ -7,13 +7,18 @@
 //! its stack when the stack itself is written). Untouched frames stay
 //! shared across the DFS worklist, the path trace, and the explored
 //! index.
+//!
+//! Both copies are kept small, because every stored state pays for
+//! them: a frame's register file is inline (one allocation per frame),
+//! and a [`Stack`] holds only as many slots as the frame has written.
 
 use std::cell::Cell;
+use std::ops::{Index, IndexMut};
 use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 
-use bvf_isa::reg::STACK_SIZE;
+use bvf_isa::reg::{MAX_BPF_EXT_REG, STACK_SIZE};
 use bvf_isa::Reg;
 
 use crate::types::{RegState, RegType};
@@ -49,14 +54,17 @@ pub struct StackSlot {
 
 impl Default for StackSlot {
     fn default() -> Self {
-        StackSlot {
-            bytes: [StackByte::Invalid; 8],
-            spilled: RegState::not_init(),
-        }
+        StackSlot::INVALID
     }
 }
 
 impl StackSlot {
+    /// A never-written slot.
+    pub const INVALID: StackSlot = StackSlot {
+        bytes: [StackByte::Invalid; 8],
+        spilled: RegState::not_init(),
+    };
+
     /// Whether the whole slot holds one spilled register.
     pub fn is_full_spill(&self) -> bool {
         self.bytes.iter().all(|b| *b == StackByte::Spill)
@@ -68,18 +76,98 @@ impl StackSlot {
     }
 }
 
+/// One frame's stack slots; slot `i` covers bytes `[-8*(i+1), -8*i)`
+/// relative to the frame pointer.
+///
+/// Only as deep as the deepest slot ever written, like the kernel's
+/// `allocated_stack`: indexing past that depth reads
+/// [`StackSlot::INVALID`], and writing through `IndexMut` grows it.
+/// [`Stack::iter`] and [`Stack::iter_mut`] cover the allocated slots
+/// only. Equality is over the logical [`STACK_SLOTS`]-slot content, so
+/// two stacks that differ only in never-written trailing slots are
+/// equal, and serialization writes all [`STACK_SLOTS`] slots.
+#[derive(Debug, Clone, Default)]
+pub struct Stack(Vec<StackSlot>);
+
+impl Stack {
+    /// Number of allocated slots: one past the deepest slot written.
+    pub fn allocated(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The allocated slots, shallowest first.
+    pub fn iter(&self) -> std::slice::Iter<'_, StackSlot> {
+        self.0.iter()
+    }
+
+    /// The allocated slots, mutably.
+    pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, StackSlot> {
+        self.0.iter_mut()
+    }
+}
+
+impl Index<usize> for Stack {
+    type Output = StackSlot;
+
+    fn index(&self, slot: usize) -> &StackSlot {
+        self.0.get(slot).unwrap_or_else(|| {
+            assert!(slot < STACK_SLOTS, "stack slot {slot} out of range");
+            &StackSlot::INVALID
+        })
+    }
+}
+
+impl IndexMut<usize> for Stack {
+    fn index_mut(&mut self, slot: usize) -> &mut StackSlot {
+        if slot >= self.0.len() {
+            assert!(slot < STACK_SLOTS, "stack slot {slot} out of range");
+            self.0.resize(slot + 1, StackSlot::INVALID);
+        }
+        &mut self.0[slot]
+    }
+}
+
+impl PartialEq for Stack {
+    fn eq(&self, other: &Stack) -> bool {
+        let (short, long) = if self.0.len() <= other.0.len() {
+            (&self.0, &other.0)
+        } else {
+            (&other.0, &self.0)
+        };
+        long[..short.len()] == short[..]
+            && long[short.len()..].iter().all(|s| *s == StackSlot::INVALID)
+    }
+}
+
+impl Serialize for Stack {
+    fn to_value(&self) -> serde::Value {
+        let slots: Vec<StackSlot> = (0..STACK_SLOTS).map(|i| self[i]).collect();
+        slots.to_value()
+    }
+}
+
+impl Deserialize for Stack {
+    fn from_value(v: &serde::Value) -> Result<Stack, serde::Error> {
+        let slots = Vec::<StackSlot>::from_value(v)?;
+        if slots.len() > STACK_SLOTS {
+            return Err(serde::Error::custom("stack deeper than STACK_SLOTS"));
+        }
+        Ok(Stack(slots))
+    }
+}
+
 /// State of one call frame.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FuncState {
     /// Register states, indexed by register number (includes `Ax`).
-    pub regs: Vec<RegState>,
-    /// Stack slots; slot `i` covers bytes `[-8*(i+1), -8*i)` relative to
-    /// the frame pointer. Copy-on-write: reads go through `Deref`,
+    /// Inline, so cloning a frame is a single allocation.
+    pub regs: [RegState; MAX_BPF_EXT_REG as usize],
+    /// The frame's stack. Copy-on-write: reads go through `Deref`,
     /// writes through [`FuncState::stack_mut`], so cloning a frame that
-    /// never touches its stack shares the 64-slot vector.
+    /// never touches its stack shares it.
     /// Never assign it directly: [`FuncState::stack_mut`] also drops
     /// `stack_summary`, which would otherwise go stale.
-    pub stack: Rc<Vec<StackSlot>>,
+    pub stack: Rc<Stack>,
     /// Instruction index to return to (caller's call insn + 1); 0 for the
     /// main frame.
     pub callsite: usize,
@@ -152,8 +240,8 @@ impl FuncState {
     /// A fresh frame with all registers uninitialized.
     pub fn new(subprog_start: usize, callsite: usize) -> FuncState {
         FuncState {
-            regs: vec![RegState::not_init(); 12],
-            stack: Rc::new(vec![StackSlot::default(); STACK_SLOTS]),
+            regs: [RegState::not_init(); MAX_BPF_EXT_REG as usize],
+            stack: Rc::new(Stack::default()),
             callsite,
             subprog_start,
             stack_summary: SummaryCache::default(),
@@ -179,8 +267,8 @@ impl FuncState {
     }
 
     /// Mutable access to the stack slots, unsharing them first if the
-    /// vector is shared with another state (copy-on-write).
-    pub fn stack_mut(&mut self) -> &mut Vec<StackSlot> {
+    /// stack is shared with another state (copy-on-write).
+    pub fn stack_mut(&mut self) -> &mut Stack {
         self.stack_summary.clear();
         Rc::make_mut(&mut self.stack)
     }
@@ -282,7 +370,7 @@ impl VerifierState {
                     }
                 }
                 if stack_hit {
-                    for s in frame.stack_mut() {
+                    for s in frame.stack_mut().iter_mut() {
                         if s.spilled.ref_obj_id == id {
                             *s = StackSlot::default();
                         }
@@ -315,7 +403,7 @@ impl VerifierState {
                 }
             }
             if stack_hit {
-                for s in frame.stack_mut() {
+                for s in frame.stack_mut().iter_mut() {
                     if s.is_full_spill() && s.spilled.id == id {
                         f(&mut s.spilled);
                     }
@@ -401,6 +489,89 @@ mod tests {
         a.cur_mut().stack_mut()[0].bytes[0] = StackByte::Misc;
         assert!(!Rc::ptr_eq(&a.frames[0].stack, &b.frames[0].stack));
         assert_eq!(b.cur().stack[0].bytes[0], StackByte::Invalid);
+    }
+
+    fn spill(r: RegState) -> StackSlot {
+        StackSlot {
+            bytes: [StackByte::Spill; 8],
+            spilled: r,
+        }
+    }
+
+    #[test]
+    fn read_past_the_allocated_depth_is_invalid() {
+        let mut stack = Stack::default();
+        assert_eq!(stack.allocated(), 0);
+        assert_eq!(stack[0], StackSlot::INVALID);
+        stack[2].bytes[0] = StackByte::Misc;
+        assert_eq!(stack[3], StackSlot::INVALID);
+        assert_eq!(stack[STACK_SLOTS - 1].bytes, [StackByte::Invalid; 8]);
+        assert_eq!(stack.allocated(), 3, "reads never grow the stack");
+    }
+
+    #[test]
+    fn writing_slot_k_allocates_k_plus_one_slots() {
+        for k in [0, 1, 7, STACK_SLOTS - 1] {
+            let mut stack = Stack::default();
+            stack[k].bytes = [StackByte::Zero; 8];
+            assert_eq!(stack.allocated(), k + 1);
+            assert_eq!(stack.iter().count(), k + 1);
+            assert!(stack.iter().take(k).all(|s| *s == StackSlot::INVALID));
+            // A shallower write leaves the depth alone.
+            stack[0].bytes[1] = StackByte::Misc;
+            assert_eq!(stack.allocated(), k + 1);
+        }
+    }
+
+    #[test]
+    fn equal_content_at_different_depths_is_equal() {
+        let mut deep = VerifierState::entry();
+        let mut shallow = VerifierState::entry();
+        let zero = StackSlot {
+            bytes: [StackByte::Zero; 8],
+            spilled: RegState::not_init(),
+        };
+        deep.cur_mut().stack_mut()[1] = zero;
+        shallow.cur_mut().stack_mut()[1] = zero;
+        // Written and reset: allocated, yet logically untouched.
+        deep.cur_mut().stack_mut()[20] = zero;
+        deep.cur_mut().stack_mut()[20] = StackSlot::INVALID;
+        assert_eq!(deep.cur().stack.allocated(), 21);
+        assert_eq!(shallow.cur().stack.allocated(), 2);
+        assert_eq!(deep, shallow);
+        assert_eq!(shallow, deep);
+        assert!(crate::prune::states_equal(&deep, &shallow));
+        assert!(crate::prune::states_equal(&shallow, &deep));
+        // Different content past the shorter depth is not equal.
+        deep.cur_mut().stack_mut()[20].bytes[0] = StackByte::Misc;
+        assert_ne!(deep, shallow);
+        assert_ne!(shallow, deep);
+        assert!(crate::prune::states_equal(&shallow, &deep));
+        assert!(!crate::prune::states_equal(&deep, &shallow));
+    }
+
+    #[test]
+    fn the_deepest_slot_is_reached_by_release_and_id_walks() {
+        let mut st = VerifierState::entry();
+        let mut next = 0;
+        let id = st.acquire_ref(&mut next, 1);
+        let mut owned = RegState::pointer(RegType::PtrToMapValue { map_id: 0 });
+        owned.ref_obj_id = id;
+        st.cur_mut().stack_mut()[STACK_SLOTS - 1] = spill(owned);
+        assert!(st.release_ref(id));
+        assert_eq!(st.cur().stack[STACK_SLOTS - 1], StackSlot::INVALID);
+
+        let mut nullable = RegState::pointer(RegType::PtrToMapValue { map_id: 0 });
+        nullable.maybe_null = true;
+        nullable.id = 4;
+        st.cur_mut().stack_mut()[STACK_SLOTS - 1] = spill(nullable);
+        let mut count = 0;
+        st.for_each_reg_with_id(4, |reg| {
+            reg.maybe_null = false;
+            count += 1;
+        });
+        assert_eq!(count, 1);
+        assert!(!st.cur().stack[STACK_SLOTS - 1].spilled.maybe_null);
     }
 
     #[test]

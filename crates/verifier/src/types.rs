@@ -135,7 +135,7 @@ impl Default for RegState {
 
 impl RegState {
     /// An uninitialized register.
-    pub fn not_init() -> RegState {
+    pub const fn not_init() -> RegState {
         RegState {
             typ: RegType::NotInit,
             off: 0,

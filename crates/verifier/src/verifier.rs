@@ -13,7 +13,7 @@ use crate::errors::{RejectReason, VerifierError, VerifierPhase};
 use std::rc::Rc;
 
 use crate::prune::states_equal;
-use crate::shape::{ExploredEntry, StateShape};
+use crate::shape::{ExploredEntry, FilterKey, StateShape};
 use crate::state::{FuncState, VerifierState, MAX_CALL_FRAMES};
 use crate::types::{RegState, RegType};
 use bvf_telemetry::profile::elapsed_ns;
@@ -31,6 +31,9 @@ struct PathNode {
     pc: usize,
     /// Distance from the root of the path trace.
     depth: usize,
+    /// The entry's prefilter key, inline so the loop scan rejects most
+    /// candidates without dereferencing `entry`.
+    key: FilterKey,
     /// The state and its fingerprint, shared with the explored-index
     /// entry created at the same visit, so the explored scan can reuse
     /// the loop scan's verdict on it.
@@ -72,6 +75,7 @@ impl PathIndex {
         let node = Rc::new(PathNode {
             pc,
             depth: parent.as_ref().map_or(0, |p| p.depth + 1),
+            key: entry.shape.filter(),
             entry,
             parent,
             same_pc: self.last_at[pc].take(),
@@ -353,6 +357,7 @@ impl<'a> Verifier<'a> {
                     let prune_t0 = Instant::now();
                     let use_index = self.opts.prune_index;
                     let cur_shape = StateShape::of(&state);
+                    let cur_key = cur_shape.filter();
                     self.timings.prune.checks += 1;
 
                     // Loop detection first, so the "infinite loop"
@@ -366,39 +371,50 @@ impl<'a> Verifier<'a> {
                     // pair is fingerprinted and compared at most once
                     // per visit. The fingerprint filter only skips
                     // comparisons that must return false, so the verdict
-                    // is identical with the index off.
+                    // is identical with the index off. A candidate the
+                    // prefilter key rejects is left unmarked: the
+                    // explored scan's own key test rejects it again.
                     let check = self.timings.prune.checks;
                     let head_depth = trace.as_ref().map_or(0, |t| t.depth);
                     for n in path.loop_candidates(pc, head_depth) {
+                        if use_index && !n.key.may_pass(&cur_key) {
+                            self.timings.prune.fingerprint_filtered += 1;
+                            continue;
+                        }
                         if use_index && !n.entry.shape.may_subsume(&cur_shape) {
                             n.entry.mark(check, false);
                             self.timings.prune.fingerprint_filtered += 1;
-                        } else {
-                            self.timings.prune.states_equal_calls += 1;
-                            if states_equal(&n.entry.state, &state) {
-                                self.cov.hit(Cat::Error, 16, 0);
-                                self.timings.prune_ns += elapsed_ns(prune_t0);
-                                return Err(VerifierError::invalid(
-                                    RejectReason::BackEdgeLimit,
-                                    pc,
-                                    format!("infinite loop detected at insn {pc}"),
-                                ));
-                            }
-                            n.entry.mark(check, true);
+                            continue;
                         }
+                        self.timings.prune.states_equal_calls += 1;
+                        if states_equal(&n.entry.state, &state) {
+                            self.cov.hit(Cat::Error, 16, 0);
+                            self.timings.prune_ns += elapsed_ns(prune_t0);
+                            return Err(VerifierError::invalid(
+                                RejectReason::BackEdgeLimit,
+                                pc,
+                                format!("infinite loop detected at insn {pc}"),
+                            ));
+                        }
+                        n.entry.mark(check, true);
                     }
 
                     // Explored-state scan. With the index on, only
-                    // shape-compatible candidates reach states_equal;
-                    // "any candidate subsumes" is order-insensitive, so
-                    // both modes reach the same prune decision.
+                    // shape-compatible candidates reach states_equal, and
+                    // the contiguous prefilter keys screen them before
+                    // any entry is dereferenced; "any candidate subsumes"
+                    // is order-insensitive, so both modes reach the same
+                    // prune decision.
                     let point = &mut self.explored[pc];
                     let total = point.len() as u64;
                     let mut calls = 0u64;
                     let mut shared = 0u64;
                     let mut hit = false;
                     if use_index {
-                        for e in point.scan_order() {
+                        for (key, e) in point.scan_order() {
+                            if !key.may_pass(&cur_key) {
+                                continue;
+                            }
                             match e.marked(check) {
                                 Some(true) => {
                                     shared += 1;
@@ -769,7 +785,8 @@ mod tests {
     #[test]
     fn path_index_matches_the_plain_ancestor_walk() {
         let state = VerifierState::entry();
-        let entry = Rc::new(ExploredEntry::new(state.clone(), StateShape::of(&state)));
+        let shape = StateShape::of(&state);
+        let entry = Rc::new(ExploredEntry::new(state, shape));
         let mut rng = StdRng::seed_from_u64(7);
         let mut path = PathIndex::new(8);
         let mut worklist: Vec<Option<Rc<PathNode>>> = Vec::new();

@@ -20,6 +20,14 @@
 //! seeded defect (a key that forgets `var_off`) shows that property has
 //! teeth.
 //!
+//! The prefilter properties pin [`FilterKey`](bvf_verifier::FilterKey)
+//! between the two: a prefilter rejection proves `states_equal` false,
+//! and every pair the fingerprint admits passes the prefilter — the
+//! second is what keeps the prune counters unchanged when the scans
+//! test the key first. A seeded defect (a key that also hashes the
+//! path-local `id`) shows the properties catch a prefilter that rejects
+//! too much.
+//!
 //! The last property checks the pure-filter fact end to end: verifying
 //! a random program with the index on and off must produce the
 //! identical verdict, instruction count, and coverage — the index may
@@ -31,25 +39,30 @@ use bvf_isa::{asm, AluOp, JmpOp, Program, Reg, Size};
 use bvf_kernel_sim::progtype::ProgType;
 use bvf_kernel_sim::{BugSet, Kernel};
 use bvf_verifier::prune::states_equal;
-use bvf_verifier::state::{FuncState, StackByte, StackSlot, VerifierState};
+use bvf_verifier::state::{FuncState, StackByte, StackSlot, VerifierState, STACK_SLOTS};
 use bvf_verifier::types::{RegState, RegType};
 use bvf_verifier::{verify, StateShape, Tnum, VerifierOpts};
 use proptest::prelude::*;
 
 /// The pointer fields `regsafe` requires to match exactly, drawn from
 /// small domains so equal and unequal pairs both come up often: `off`,
-/// `var_off` and `maybe_null`.
-fn arb_ptr_fields() -> impl Strategy<Value = (i32, Tnum, bool)> {
-    (0i32..3, 0usize..3, any::<bool>()).prop_map(|(off, var, maybe_null)| {
+/// `var_off` and `maybe_null` — plus the path-local `id`, which
+/// `regsafe` ignores.
+fn arb_ptr_fields() -> impl Strategy<Value = PtrFields> {
+    (0i32..3, 0usize..3, any::<bool>(), 0u32..2).prop_map(|(off, var, maybe_null, id)| {
         let var_off = [Tnum::const_val(0), Tnum::new(0, 0xf0), Tnum::new(8, 0x30)][var];
-        (off * 8, var_off, maybe_null)
+        (off * 8, var_off, maybe_null, id)
     })
 }
 
-fn with_fields(mut r: RegState, (off, var_off, maybe_null): (i32, Tnum, bool)) -> RegState {
+/// `off`, `var_off`, `maybe_null` and `id` of a pointer.
+type PtrFields = (i32, Tnum, bool, u32);
+
+fn with_fields(mut r: RegState, (off, var_off, maybe_null, id): PtrFields) -> RegState {
     r.off = off;
     r.var_off = var_off;
     r.maybe_null = maybe_null;
+    r.id = id;
     r
 }
 
@@ -118,11 +131,16 @@ fn arb_slot() -> impl Strategy<Value = StackSlot> {
 }
 
 /// An arbitrary verifier state: 1–2 call frames, randomized registers,
-/// a few randomized stack slots, and 0–1 acquired references.
+/// a few randomized stack slots, and 0–1 acquired references. Slots are
+/// written at random indices — mostly the first four, so pairs often
+/// overlap, sometimes anywhere in the frame — so allocated stack depths
+/// vary, and an untouched slot written as `INVALID` deepens a stack
+/// without changing its content.
 fn arb_state() -> impl Strategy<Value = VerifierState> {
+    let index = (0usize..STACK_SLOTS, 0u8..4).prop_map(|(i, w)| if w < 3 { i % 4 } else { i });
     (
         proptest::collection::vec(arb_reg(), 10),
-        proptest::collection::vec(arb_slot(), 4),
+        proptest::collection::vec((index, arb_slot()), 0..6),
         0usize..2,
         0usize..2,
     )
@@ -134,7 +152,7 @@ fn arb_state() -> impl Strategy<Value = VerifierState> {
                     frame.regs[i] = r;
                 }
                 let stack = frame.stack_mut();
-                for (i, s) in slots.into_iter().enumerate() {
+                for (i, s) in slots {
                     stack[i] = s;
                 }
             }
@@ -185,6 +203,59 @@ proptest! {
     fn pointer_key_is_exact(case in arb_ptr_case()) {
         prop_assert!(ptr_case_holds(&case, StateShape::of), "{:?}", case.1);
     }
+
+    /// The prefilter sits between `states_equal` and the fingerprint,
+    /// on arbitrary pairs.
+    #[test]
+    fn prefilter_is_sound_and_implied_by_the_fingerprint(
+        old in arb_state(),
+        cur in arb_state(),
+    ) {
+        prop_assert!(prefilter_holds(&old, &cur, StateShape::of));
+    }
+
+    /// The same on pairs that differ in one pointer only, where
+    /// `states_equal` holds often.
+    #[test]
+    fn prefilter_admits_what_the_fingerprint_admits(case in arb_ptr_case()) {
+        let (old, cur) = ptr_case_states(&case);
+        prop_assert!(prefilter_holds(&old, &cur, StateShape::of), "{:?}", case.1);
+    }
+
+    /// The same on pairs where `old` is `cur` with some registers
+    /// forgotten, so `old` always subsumes `cur` and the two often hold
+    /// pointers in different registers.
+    #[test]
+    fn prefilter_admits_widened_states((old, cur) in arb_widened_pair()) {
+        prop_assert!(states_equal(&old, &cur));
+        prop_assert!(prefilter_holds(&old, &cur, StateShape::of));
+    }
+}
+
+/// A state and a copy of it with the registers of a random mask reset
+/// to `NOT_INIT`: `(old, cur)` with `old` subsuming `cur`.
+fn arb_widened_pair() -> impl Strategy<Value = (VerifierState, VerifierState)> {
+    (arb_state(), 0u16..1 << 10).prop_map(|(cur, forget)| {
+        let mut old = cur.clone();
+        for i in (0..10).filter(|i| forget >> i & 1 == 1) {
+            old.cur_mut().regs[i] = RegState::not_init();
+        }
+        (old, cur)
+    })
+}
+
+/// Both prefilter properties for `(old, cur)` with shapes from
+/// `shape_of`: a prefilter rejection implies `!states_equal`, and
+/// `may_subsume` implies the prefilter passes.
+fn prefilter_holds(
+    old: &VerifierState,
+    cur: &VerifierState,
+    shape_of: fn(&VerifierState) -> StateShape,
+) -> bool {
+    let (so, sc) = (shape_of(old), shape_of(cur));
+    let pass = so.filter().may_pass(&sc.filter());
+    // A rejection must prove both comparisons false.
+    pass || (!states_equal(old, cur) && !so.may_subsume(&sc))
 }
 
 /// A base state, a register index, and the old and current pointer that
@@ -206,16 +277,20 @@ fn arb_ptr_case() -> impl Strategy<Value = PtrCase> {
     )
 }
 
-/// Whether `shape_of` separates the case's two states exactly when
-/// their pointers' keyed fields differ.
-fn ptr_case_holds(
-    (base, (i, old_reg, cur_reg)): &PtrCase,
-    shape_of: fn(&VerifierState) -> StateShape,
-) -> bool {
+/// The case's old and current state.
+fn ptr_case_states((base, (i, old_reg, cur_reg)): &PtrCase) -> (VerifierState, VerifierState) {
     let mut old = base.clone();
     old.cur_mut().regs[*i] = *old_reg;
     let mut cur = base.clone();
     cur.cur_mut().regs[*i] = *cur_reg;
+    (old, cur)
+}
+
+/// Whether `shape_of` separates the case's two states exactly when
+/// their pointers' keyed fields differ.
+fn ptr_case_holds(case: &PtrCase, shape_of: fn(&VerifierState) -> StateShape) -> bool {
+    let (_, (_, old_reg, cur_reg)) = case;
+    let (old, cur) = ptr_case_states(case);
     let same = (old_reg.off, old_reg.var_off, old_reg.maybe_null)
         == (cur_reg.off, cur_reg.var_off, cur_reg.maybe_null);
     states_equal(&old, &cur) == same && shape_of(&old).may_subsume(&shape_of(&cur)) == same
@@ -244,6 +319,36 @@ fn pointer_key_property_catches_a_key_without_var_off() {
     let mut rng = proptest::TestRng::seed_from_u64(13);
     assert!((0..proptest::CASES)
         .all(|_| ptr_case_holds(&arb_ptr_case().sample(&mut rng), StateShape::of)));
+}
+
+/// The seeded prefilter defect: a pointer key that also hashes the
+/// path-local `id`, so the prefilter rejects pairs `states_equal`
+/// accepts.
+fn key_with_id(r: &RegState) -> u64 {
+    let head = u64::from(r.off as u32) | (u64::from(r.maybe_null) << 32) | (u64::from(r.id) << 33);
+    head ^ r.var_off.value.rotate_left(21) ^ r.var_off.mask.rotate_left(42)
+}
+
+/// The prefilter properties must catch a key that hashes `id`, on a
+/// fixed seed within the usual case budget — otherwise they would pass
+/// a prefilter that drops subsuming candidates and silently disables
+/// pruning.
+#[test]
+fn prefilter_properties_catch_a_key_with_ids() {
+    use proptest::__SeedableRng;
+    let weak = |s: &VerifierState| StateShape::of_with_ptr_key(s, key_with_id);
+    let holds = |case: &PtrCase, shape_of: fn(&VerifierState) -> StateShape| {
+        let (old, cur) = ptr_case_states(case);
+        prefilter_holds(&old, &cur, shape_of)
+    };
+    let mut rng = proptest::TestRng::seed_from_u64(17);
+    let caught = (0..proptest::CASES)
+        .map(|_| arb_ptr_case().sample(&mut rng))
+        .filter(|case| !holds(case, weak))
+        .count();
+    assert!(caught > 0, "the id-hashing prefilter went unnoticed");
+    let mut rng = proptest::TestRng::seed_from_u64(17);
+    assert!((0..proptest::CASES).all(|_| holds(&arb_ptr_case().sample(&mut rng), StateShape::of)));
 }
 
 /// Instruction soup for the end-to-end property: ALU ops, bounded
