@@ -30,7 +30,7 @@
 
 use bvf::baseline::GeneratorKind;
 use bvf::fuzz::CampaignConfig;
-use bvf::scenario::{run_scenario_prune_index, Scenario};
+use bvf::scenario::{run, Scenario};
 use bvf_bench::{arg_flag, arg_usize, render_table, run_campaign_with_stats, save_json};
 use bvf_runtime::BpfError;
 use bvf_telemetry::PhaseTimings;
@@ -54,20 +54,17 @@ fn fixture(path: &str) {
             eprintln!("prune_bench: cannot load {path}: {e}");
             std::process::exit(2);
         });
-    let cfg = CampaignConfig::new(GeneratorKind::Bvf, 0, 0);
     // One setting's runs: the verdict, the last run's timings, and the
     // median do_check ns per processed insn.
     let measure = |prune_index: bool| {
+        let cfg = CampaignConfig {
+            prune_index,
+            ..CampaignConfig::new(GeneratorKind::Bvf, 0, 0)
+        };
         let mut per_insn = Vec::with_capacity(FIXTURE_RUNS);
         let mut last = None;
         for _ in 0..FIXTURE_RUNS {
-            let out = run_scenario_prune_index(
-                &scenario,
-                &cfg.bugs,
-                cfg.version,
-                cfg.sanitize,
-                prune_index,
-            );
+            let out = run(&scenario, &cfg, None);
             let t = out.timings;
             per_insn.push(t.do_check_ns as f64 / t.insns_processed.max(1) as f64);
             let verdict = match &out.load {

@@ -50,8 +50,11 @@
 //! (Indicator #3): the verifier exports per-instruction abstract-state
 //! snapshots, the interpreter records a concrete register trace, and
 //! any concrete value escaping the proved abstract state is reported as
-//! a state divergence. Replay and minimize must be given the same flag
-//! to reproduce Indicator #3 findings.
+//! a state divergence. `fuzz`, `replay` and `minimize` read `--bugs`,
+//! `--version`, `--no-sanitize`, `--diff-oracle`, `--san-diff` and
+//! `--san-defect` with one parser, so replaying or minimizing a finding
+//! with its campaign's flags (both oracles together included) runs
+//! exactly the oracles that found it.
 //!
 //! Every command runs accepted programs on the one execution engine,
 //! the interpreter over pre-decoded images (`bvf_runtime::interp`).
@@ -97,10 +100,10 @@ use bvf::corpus::CorpusSnapshot;
 use bvf::fuzz::{
     report_signature, run_campaign_with_telemetry, CampaignConfig, CampaignResult, FindingRecord,
 };
-use bvf::minimize::{minimize_finding_jobs, minimize_finding_san};
-use bvf::oracle::{judge, triage_san_defects, triage_with_defects};
+use bvf::minimize::minimize;
+use bvf::oracle::{judge, triage, triage_san_defects};
 use bvf::sanmatrix::run_matrix;
-use bvf::scenario::{run_scenario, run_scenario_diff, run_scenario_san_diff, Scenario};
+use bvf::scenario::{run, Scenario};
 use bvf_campaign::{run_sharded, ParallelConfig};
 use bvf_fabric::{run_worker, Client, Coordinator, CoordinatorOptions, FabricError, WorkerOptions};
 use bvf_kernel_sim::{BugId, BugSet, KernelReport, SanDefect, SanDefectSet};
@@ -293,21 +296,12 @@ fn load_snapshot(path: &str) -> CorpusSnapshot {
     })
 }
 
-/// Builds a [`CampaignConfig`] from the `fuzz`-family flags (shared by
-/// `bvf fuzz` and `bvf corpus export`).
-fn campaign_config(args: &Args) -> CampaignConfig {
-    let iters: usize = args
-        .opt("--iters")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5000);
-    let seed: u64 = args.opt("--seed").and_then(|v| v.parse().ok()).unwrap_or(1);
-    let mut cfg = CampaignConfig::new(
-        args.opt("--generator")
-            .map(parse_generator)
-            .unwrap_or(GeneratorKind::Bvf),
-        iters,
-        seed,
-    );
+/// Reads the flags that say which kernel a scenario runs on and which
+/// oracles judge it — `--bugs`, `--version`, `--no-sanitize`,
+/// `--diff-oracle`, `--san-diff` and `--san-defect` — into `cfg`. One
+/// parse serves `fuzz`, `replay` and `minimize`, so a finding replays
+/// under the configuration its campaign ran.
+fn run_config(args: &Args, mut cfg: CampaignConfig) -> CampaignConfig {
     cfg.bugs = args
         .opt("--bugs")
         .map(parse_bugs)
@@ -317,10 +311,7 @@ fn campaign_config(args: &Args) -> CampaignConfig {
         .map(parse_version)
         .unwrap_or(KernelVersion::BpfNext);
     cfg.sanitize = !args.flag("--no-sanitize");
-    cfg.triage = !args.flag("--no-triage");
-    cfg.feedback = !args.flag("--no-feedback");
     cfg.diff_oracle = args.flag("--diff-oracle");
-    cfg.steer = args.flag("--steer");
     cfg.san_diff = args.flag("--san-diff");
     if let Some(spec) = args.opt("--san-defect") {
         cfg.san_defects = parse_san_defects(spec);
@@ -329,16 +320,32 @@ fn campaign_config(args: &Args) -> CampaignConfig {
             exit(2);
         }
     }
-    if let Some(n) = args.opt("--snapshot-every").and_then(|v| v.parse().ok()) {
+    cfg
+}
+
+/// Builds a [`CampaignConfig`] from the `fuzz`-family flags (shared by
+/// `bvf fuzz` and `bvf corpus export`).
+fn campaign_config(args: &Args) -> CampaignConfig {
+    let generator = args
+        .opt("--generator")
+        .map(parse_generator)
+        .unwrap_or(GeneratorKind::Bvf);
+    let iters = args.parsed("--iters").unwrap_or(5000);
+    let seed = args.parsed("--seed").unwrap_or(1);
+    let mut cfg = run_config(args, CampaignConfig::new(generator, iters, seed));
+    cfg.triage = !args.flag("--no-triage");
+    cfg.feedback = !args.flag("--no-feedback");
+    cfg.steer = args.flag("--steer");
+    if let Some(n) = args.parsed("--snapshot-every") {
         cfg.snapshot_every = std::cmp::max(n, 1);
     }
-    if let Some(n) = args.opt("--batch-len").and_then(|v| v.parse().ok()) {
+    if let Some(n) = args.parsed("--batch-len") {
         cfg.batch_len = std::cmp::max(n, 1);
     }
-    if let Some(n) = args.opt("--exchange-every").and_then(|v| v.parse().ok()) {
+    if let Some(n) = args.parsed("--exchange-every") {
         cfg.exchange_every = n;
     }
-    if let Some(n) = args.opt("--exchange-batch").and_then(|v| v.parse().ok()) {
+    if let Some(n) = args.parsed("--exchange-batch") {
         cfg.exchange_batch = n;
     }
     if let Some(path) = args.opt("--corpus-in") {
@@ -348,7 +355,7 @@ fn campaign_config(args: &Args) -> CampaignConfig {
 }
 
 fn parse_workers(args: &Args) -> usize {
-    match args.opt("--workers").and_then(|v| v.parse::<usize>().ok()) {
+    match args.parsed::<usize>("--workers") {
         Some(0) => std::thread::available_parallelism().map_or(1, |n| n.get()),
         Some(n) => n,
         None => 1,
@@ -365,10 +372,7 @@ fn cmd_fuzz(args: &Args) {
     let workers = parse_workers(args);
     let corpus_out = args.opt("--corpus-out");
     let trace_path = args.opt("--trace-out");
-    let stats_every: usize = args
-        .opt("--stats-every")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or((iters / 100).max(1));
+    let stats_every: usize = args.parsed("--stats-every").unwrap_or((iters / 100).max(1));
 
     eprintln!(
         "fuzzing: {} iterations, generator {}, {} defects injected, sanitation {}{}",
@@ -391,7 +395,7 @@ fn cmd_fuzz(args: &Args) {
         pcfg.stats_every = stats_every;
         pcfg.trace = trace_path.is_some();
         pcfg.snapshot = corpus_out.is_some();
-        if let Some(s) = args.opt("--chaos").and_then(|v| v.parse().ok()) {
+        if let Some(s) = args.parsed("--chaos") {
             pcfg.chaos = s;
         }
         let outcome = run_sharded(&cfg, &pcfg);
@@ -720,27 +724,7 @@ fn load_scenario(path: &str) -> Scenario {
 
 fn cmd_replay(args: &Args, path: &str) {
     let scenario = load_scenario(path);
-    let bugs = args
-        .opt("--bugs")
-        .map(parse_bugs)
-        .unwrap_or_else(BugSet::all);
-    let version = args
-        .opt("--version")
-        .map(parse_version)
-        .unwrap_or(KernelVersion::BpfNext);
-    let sanitize = !args.flag("--no-sanitize");
-    let diff = args.flag("--diff-oracle");
-    let san_diff = args.flag("--san-diff");
-    let san_defects = args
-        .opt("--san-defect")
-        .map(parse_san_defects)
-        .unwrap_or_else(SanDefectSet::none);
-    if !san_defects.is_empty() && !san_diff {
-        eprintln!(
-            "--san-defect requires --san-diff (defects only matter to the dual-execution oracle)"
-        );
-        exit(2);
-    }
+    let cfg = run_config(args, CampaignConfig::new(GeneratorKind::Bvf, 0, 0));
 
     println!(
         "program ({:?}, trigger {:?}):\n{}",
@@ -748,13 +732,7 @@ fn cmd_replay(args: &Args, path: &str) {
         scenario.trigger,
         scenario.prog.dump()
     );
-    let out = if san_diff {
-        run_scenario_san_diff(&scenario, &bugs, version, san_defects)
-    } else if diff {
-        run_scenario_diff(&scenario, &bugs, version, sanitize)
-    } else {
-        run_scenario(&scenario, &bugs, version, sanitize)
-    };
+    let out = run(&scenario, &cfg, None);
     match &out.load {
         Ok(_) => println!(
             "verifier: ACCEPTED ({} insns processed)",
@@ -768,13 +746,13 @@ fn cmd_replay(args: &Args, path: &str) {
     if let Some(h) = out.halt {
         println!("execution halted: {h:?}");
     }
-    if diff {
+    if cfg.diff_oracle {
         println!(
             "diff oracle: {} steps checked ({} regs), {} divergences",
             out.diff.steps_checked, out.diff.regs_checked, out.diff.divergences
         );
     }
-    if san_diff {
+    if cfg.san_diff {
         println!(
             "sancheck: {} dual runs, {} divergences",
             out.san.runs, out.san.divergences
@@ -789,15 +767,14 @@ fn cmd_replay(args: &Args, path: &str) {
         println!("\noracle: indicator {:?} triggered", f.indicator);
         println!("signature: {}", report_signature(f.indicator, &f.reports));
         println!("running triage...");
-        let culprits = triage_with_defects(&f, &bugs, version, sanitize, san_defects);
+        let culprits = triage(&f, &cfg);
         println!("culprits: {culprits:?}");
-        if san_diff
-            && !san_defects.is_empty()
+        if !cfg.san_defects.is_empty()
             && f.reports
                 .iter()
                 .any(|r| matches!(r, KernelReport::SanitizerDivergence { .. }))
         {
-            let sd = triage_san_defects(&f, &bugs, version, san_defects);
+            let sd = triage_san_defects(&f, &cfg);
             println!(
                 "sanitizer-defect culprits: {:?}",
                 sd.iter().map(|d| d.name()).collect::<Vec<_>>()
@@ -810,44 +787,10 @@ fn cmd_replay(args: &Args, path: &str) {
 
 fn cmd_minimize(args: &Args, path: &str) {
     let scenario = load_scenario(path);
-    let bugs = args
-        .opt("--bugs")
-        .map(parse_bugs)
-        .unwrap_or_else(BugSet::all);
-    let version = args
-        .opt("--version")
-        .map(parse_version)
-        .unwrap_or(KernelVersion::BpfNext);
-    let sanitize = !args.flag("--no-sanitize");
-    let diff = args.flag("--diff-oracle");
-    let san_diff = args.flag("--san-diff");
-    let san_defects = args
-        .opt("--san-defect")
-        .map(parse_san_defects)
-        .unwrap_or_else(SanDefectSet::none);
-    if !san_defects.is_empty() && !san_diff {
-        eprintln!(
-            "--san-defect requires --san-diff (defects only matter to the dual-execution oracle)"
-        );
-        exit(2);
-    }
-    let jobs: usize = args
-        .opt("--jobs")
-        .map(|s| {
-            s.parse().unwrap_or_else(|_| {
-                eprintln!("bad --jobs: {s}");
-                exit(2);
-            })
-        })
-        .unwrap_or(1)
-        .max(1);
+    let cfg = run_config(args, CampaignConfig::new(GeneratorKind::Bvf, 0, 0));
+    let jobs = args.parsed("--jobs").unwrap_or(1);
 
-    let minimized = if san_diff {
-        minimize_finding_san(&scenario, &bugs, version, san_defects, jobs)
-    } else {
-        minimize_finding_jobs(&scenario, &bugs, version, sanitize, diff, jobs)
-    };
-    let out = match minimized {
+    let out = match minimize(&scenario, &cfg, jobs) {
         Ok(out) => out,
         Err(e) => {
             eprintln!("cannot minimize: {e}");

@@ -52,8 +52,8 @@ use crate::gen::{GenConfig, StructuredGen};
 use bvf_diff::DiffStats;
 use bvf_sancheck::SanStats;
 
-use crate::oracle::{judge, triage_with_defects, Finding, Indicator};
-use crate::scenario::{run_scenario_san_diff_with, run_scenario_scratch, Scenario};
+use crate::oracle::{judge, triage, Finding, Indicator};
+use crate::scenario::{run, Scenario};
 
 /// Global cap on feedback-corpus retention (seed view + local additions).
 pub const CORPUS_CAP: usize = 4096;
@@ -1005,29 +1005,7 @@ impl CampaignWorker {
             });
         }
 
-        let outcome = if cfg.san_diff {
-            run_scenario_san_diff_with(
-                &scenario,
-                &cfg.bugs,
-                cfg.version,
-                cfg.san_defects,
-                cfg.diff_oracle,
-                cfg.prune_index,
-                cfg.backend,
-                Some(scratch),
-            )
-        } else {
-            run_scenario_scratch(
-                &scenario,
-                &cfg.bugs,
-                cfg.version,
-                cfg.sanitize,
-                cfg.diff_oracle,
-                cfg.prune_index,
-                cfg.backend,
-                scratch,
-            )
-        };
+        let outcome = run(&scenario, cfg, Some(scratch));
         if let Some(s) = shape {
             self.shape_stats.generated[s.index()] += 1;
         }
@@ -1148,13 +1126,7 @@ impl CampaignWorker {
                 let t0 = Instant::now();
                 let triaged = cfg.triage && claimed;
                 let culprits = if triaged {
-                    triage_with_defects(
-                        &finding,
-                        &cfg.bugs,
-                        cfg.version,
-                        cfg.sanitize,
-                        cfg.san_defects,
-                    )
+                    triage(&finding, cfg)
                 } else {
                     Vec::new()
                 };
@@ -1287,13 +1259,7 @@ pub fn merge_batches(
     }
     for f in &mut findings {
         if cfg.triage && !f.triaged {
-            f.culprits = triage_with_defects(
-                &f.finding,
-                &cfg.bugs,
-                cfg.version,
-                cfg.sanitize,
-                cfg.san_defects,
-            );
+            f.culprits = triage(&f.finding, cfg);
             f.triaged = true;
             stats.merge_triaged += 1;
         }

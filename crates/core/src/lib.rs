@@ -49,12 +49,12 @@ pub use fuzz::{
     CorpusLedger, MergeStats, ShapeStats,
 };
 pub use gen::{GenConfig, StructuredGen};
-pub use minimize::{minimize_finding, minimize_finding_san, MinimizeOutcome};
+pub use minimize::{minimize, MinimizeOutcome};
 pub use oracle::{
     classify_report, judge, triage, triage_san_defects, triage_with_defects, Finding, Indicator,
 };
 pub use sanmatrix::{run_matrix, run_matrix_case, MatrixCaseResult, MatrixOutcome};
 pub use scenario::{
-    run_scenario, run_scenario_diff, run_scenario_san_diff, run_scenario_san_diff_with,
-    run_scenario_scratch, Scenario, ScenarioOutcome, Trigger,
+    run, run_scenario, run_scenario_san_diff_with, run_scenario_scratch, Scenario, ScenarioOutcome,
+    Trigger,
 };

@@ -16,12 +16,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use bvf_isa::{asm, Program};
-use bvf_kernel_sim::{BugSet, SanDefectSet};
-use bvf_verifier::KernelVersion;
 
-use crate::fuzz::report_signature;
+use crate::fuzz::{report_signature, CampaignConfig};
 use crate::oracle::judge;
-use crate::scenario::{run_scenario, run_scenario_diff, run_scenario_san_diff, Scenario};
+use crate::scenario::{run, Scenario};
 
 /// What one minimization run produced.
 #[derive(Debug)]
@@ -102,77 +100,29 @@ fn neutralized(base: &Scenario, keep: &[(usize, usize)]) -> Scenario {
 
 /// Minimizes a finding's scenario while preserving its dedup signature.
 ///
-/// The scenario is replayed under exactly the given configuration
-/// (`diff_oracle` must match how the finding was produced — an
-/// Indicator #3 finding only reproduces with the differential oracle
-/// armed). Fails if the scenario produces no finding at all under this
-/// configuration.
-pub fn minimize_finding(
-    scenario: &Scenario,
-    bugs: &BugSet,
-    version: KernelVersion,
-    sanitize: bool,
-    diff_oracle: bool,
-) -> Result<MinimizeOutcome, String> {
-    minimize_finding_jobs(scenario, bugs, version, sanitize, diff_oracle, 1)
-}
-
-/// Like [`minimize_finding`], with candidate replays spread across
-/// `jobs` worker threads and memoized in a program-hash → signature
-/// cache.
+/// Every candidate is replayed with [`run`] under exactly `cfg`, which
+/// must arm the oracles that produced the finding: an Indicator #3
+/// finding only reproduces with [`CampaignConfig::diff_oracle`], a
+/// `sandiv` one only with [`CampaignConfig::san_diff`] (and its
+/// `san_defects`), and with both armed both kinds reproduce. Fails if
+/// the scenario produces no finding at all under `cfg`.
 ///
-/// The reduction result is identical at every job count: each ddmin
-/// round's candidates are tried in the same order and the **first**
-/// passing one is chosen, so parallel evaluation only changes how many
-/// replays run concurrently, never which reduction step is taken.
-/// `jobs == 1` evaluates lazily (stopping at the first success) exactly
-/// like the classic serial loop.
-pub fn minimize_finding_jobs(
+/// Candidate replays are spread across `jobs` worker threads and
+/// memoized in a program-hash → signature cache. The reduction result
+/// is identical at every job count: each ddmin round's candidates are
+/// tried in the same order and the **first** passing one is chosen, so
+/// parallel evaluation only changes how many replays run concurrently,
+/// never which reduction step is taken. `jobs == 1` evaluates lazily
+/// (stopping at the first success) exactly like the classic serial
+/// loop.
+pub fn minimize(
     scenario: &Scenario,
-    bugs: &BugSet,
-    version: KernelVersion,
-    sanitize: bool,
-    diff_oracle: bool,
+    cfg: &CampaignConfig,
     jobs: usize,
 ) -> Result<MinimizeOutcome, String> {
     let signature_of = |s: &Scenario| -> Option<String> {
-        let out = if diff_oracle {
-            run_scenario_diff(s, bugs, version, sanitize)
-        } else {
-            run_scenario(s, bugs, version, sanitize)
-        };
-        judge(s, &out).map(|f| report_signature(f.indicator, &f.reports))
+        judge(s, &run(s, cfg, None)).map(|f| report_signature(f.indicator, &f.reports))
     };
-    minimize_with(scenario, jobs, &signature_of)
-}
-
-/// [`minimize_finding_jobs`] for findings produced by the `bvf-sancheck`
-/// dual-execution oracle (`bvf minimize --san-diff`): every candidate is
-/// replayed sanitized *and* unsanitized via [`run_scenario_san_diff`],
-/// so `sandiv:*` signature components are reproducible and the reduction
-/// keeps exactly the instructions the divergence depends on.
-pub fn minimize_finding_san(
-    scenario: &Scenario,
-    bugs: &BugSet,
-    version: KernelVersion,
-    defects: SanDefectSet,
-    jobs: usize,
-) -> Result<MinimizeOutcome, String> {
-    let signature_of = |s: &Scenario| -> Option<String> {
-        let out = run_scenario_san_diff(s, bugs, version, defects);
-        judge(s, &out).map(|f| report_signature(f.indicator, &f.reports))
-    };
-    minimize_with(scenario, jobs, &signature_of)
-}
-
-/// The shared ddmin harness: neutralize-and-replay under the given
-/// signature function until a minimal kept-unit set reproduces the
-/// original signature.
-fn minimize_with(
-    scenario: &Scenario,
-    jobs: usize,
-    signature_of: &(dyn Fn(&Scenario) -> Option<String> + Sync),
-) -> Result<MinimizeOutcome, String> {
     let jobs = jobs.max(1);
     let Some(target) = signature_of(scenario) else {
         return Err(
@@ -259,6 +209,9 @@ mod tests {
     use bvf_kernel_sim::btf::ids as btf_ids;
     use bvf_kernel_sim::helpers::proto::ids as helper;
     use bvf_kernel_sim::progtype::ProgType;
+    use bvf_kernel_sim::BugSet;
+
+    use crate::baseline::GeneratorKind;
 
     /// The bug #1 reproducer with junk instructions interleaved; the
     /// minimizer must strip the junk and keep the signature.
@@ -279,10 +232,9 @@ mod tests {
         insns.push(asm::mov64_imm(Reg::R0, 0));
         insns.push(asm::exit());
         let scenario = Scenario::test_run(Program::from_insns(insns), ProgType::Kprobe);
-        let bugs = BugSet::all();
+        let cfg = CampaignConfig::new(GeneratorKind::Bvf, 0, 0);
 
-        let out = minimize_finding(&scenario, &bugs, KernelVersion::BpfNext, true, false)
-            .expect("bug1 scenario must minimize");
+        let out = minimize(&scenario, &cfg, 1).expect("bug1 scenario must minimize");
         assert!(
             out.units_kept < out.units_total,
             "nothing was removed ({}/{} kept)",
@@ -297,7 +249,7 @@ mod tests {
         assert_eq!(min_insns[0], ja, "leading junk mov must be neutralized");
 
         // Replaying the minimized scenario reproduces the signature.
-        let replay = run_scenario(&out.scenario, &bugs, KernelVersion::BpfNext, true);
+        let replay = run(&out.scenario, &cfg, None);
         let f = judge(&out.scenario, &replay).expect("minimized finding must reproduce");
         assert_eq!(report_signature(f.indicator, &f.reports), out.signature);
     }
@@ -313,13 +265,11 @@ mod tests {
         );
         let data = std::fs::read(path).expect("committed fixture readable");
         let scenario: Scenario = serde_json::from_slice(&data).expect("fixture parses");
-        let bugs = BugSet::all();
+        let mut cfg = CampaignConfig::new(GeneratorKind::Bvf, 0, 0);
+        cfg.diff_oracle = true;
 
-        let serial = minimize_finding_jobs(&scenario, &bugs, KernelVersion::BpfNext, true, true, 1)
-            .expect("fixture must minimize serially");
-        let parallel =
-            minimize_finding_jobs(&scenario, &bugs, KernelVersion::BpfNext, true, true, 4)
-                .expect("fixture must minimize in parallel");
+        let serial = minimize(&scenario, &cfg, 1).expect("fixture must minimize serially");
+        let parallel = minimize(&scenario, &cfg, 4).expect("fixture must minimize in parallel");
 
         assert_eq!(serial.signature, parallel.signature);
         assert_eq!(serial.units_kept, parallel.units_kept);
@@ -336,7 +286,7 @@ mod tests {
 
         // Replaying the minimized scenario under the same configuration
         // reproduces the signature (the property CI pins end to end).
-        let replay = run_scenario_diff(&serial.scenario, &bugs, KernelVersion::BpfNext, true);
+        let replay = run(&serial.scenario, &cfg, None);
         let f = judge(&serial.scenario, &replay).expect("minimized finding reproduces");
         assert_eq!(report_signature(f.indicator, &f.reports), serial.signature);
     }
@@ -347,8 +297,8 @@ mod tests {
             Program::from_insns(vec![asm::mov64_imm(Reg::R0, 0), asm::exit()]),
             ProgType::SocketFilter,
         );
-        assert!(
-            minimize_finding(&s, &BugSet::none(), KernelVersion::BpfNext, true, false).is_err()
-        );
+        let mut cfg = CampaignConfig::new(GeneratorKind::Bvf, 0, 0);
+        cfg.bugs = BugSet::none();
+        assert!(minimize(&s, &cfg, 1).is_err());
     }
 }

@@ -23,9 +23,9 @@ use serde::{Deserialize, Serialize};
 use bvf_kernel_sim::{BugId, BugSet, KernelReport, ReportOrigin, SanDefect, SanDefectSet};
 use bvf_verifier::KernelVersion;
 
-use crate::scenario::{
-    run_scenario, run_scenario_diff, run_scenario_san_diff, Scenario, ScenarioOutcome,
-};
+use crate::baseline::GeneratorKind;
+use crate::fuzz::CampaignConfig;
+use crate::scenario::{run, Scenario, ScenarioOutcome};
 
 /// The correctness-bug indicators (plus the syscall-level bucket for
 /// findings like bug #8 that are not program-behavior bugs).
@@ -111,69 +111,53 @@ pub fn judge(scenario: &Scenario, outcome: &ScenarioOutcome) -> Option<Finding> 
     })
 }
 
-/// Differential triage: which enabled defects are necessary for this
+fn is_san_divergence(r: &KernelReport) -> bool {
+    matches!(r, KernelReport::SanitizerDivergence { .. })
+}
+
+/// Differential triage: which of `cfg.bugs` are necessary for this
 /// finding to manifest?
 ///
 /// For each enabled defect, replay the scenario with that defect patched;
 /// if the misbehavior disappears (no reports on an accepted program, or
 /// the program/attach is now rejected), the defect is a culprit.
-pub fn triage(
-    finding: &Finding,
-    enabled: &BugSet,
-    version: KernelVersion,
-    sanitize: bool,
-) -> Vec<BugId> {
-    triage_with_defects(finding, enabled, version, sanitize, SanDefectSet::none())
-}
-
-/// [`triage`] for campaigns running the sanitizer self-check: findings
-/// whose reports contain a [`KernelReport::SanitizerDivergence`] only
-/// exist under the dual-execution oracle, so their replays go through
-/// [`run_scenario_san_diff`] with the campaign's injected sanitizer
-/// defects re-armed.
-pub fn triage_with_defects(
-    finding: &Finding,
-    enabled: &BugSet,
-    version: KernelVersion,
-    sanitize: bool,
-    san_defects: SanDefectSet,
-) -> Vec<BugId> {
-    let diff = finding.indicator == Indicator::Three;
-    let san = finding
-        .reports
-        .iter()
-        .any(|r| matches!(r, KernelReport::SanitizerDivergence { .. }));
-    let mut culprits = Vec::new();
-    for bug in enabled.iter() {
-        let mut patched = enabled.clone();
-        patched.disable(bug);
-        // An Indicator #3 finding only exists under the differential
-        // oracle, so its replays must re-arm it — and what must
-        // disappear is specifically the state divergence, not any
-        // incidental report. Likewise a sanitizer-divergence finding
-        // must be replayed under the dual-execution oracle.
-        let outcome = if san {
-            run_scenario_san_diff(&finding.scenario, &patched, version, san_defects)
-        } else if diff {
-            run_scenario_diff(&finding.scenario, &patched, version, sanitize)
+///
+/// The replays run under the oracle the finding needs, derived from
+/// `cfg`: a finding with a [`KernelReport::SanitizerDivergence`] only
+/// exists under the dual run (with `cfg.san_defects` re-armed, without
+/// the diff oracle), and what must disappear is the divergence; an
+/// Indicator #3 finding only exists under the diff oracle, and what must
+/// disappear is the state divergence, not any incidental report;
+/// anything else replays plain.
+pub fn triage(finding: &Finding, cfg: &CampaignConfig) -> Vec<BugId> {
+    let san = finding.reports.iter().any(is_san_divergence);
+    let diff = !san && finding.indicator == Indicator::Three;
+    let mut replay = CampaignConfig {
+        diff_oracle: diff,
+        san_diff: san,
+        san_defects: if san {
+            cfg.san_defects
         } else {
-            run_scenario(&finding.scenario, &patched, version, sanitize)
-        };
-        let still_finds = if san {
-            outcome.accepted()
-                && outcome
-                    .reports
-                    .iter()
-                    .any(|r| matches!(r, KernelReport::SanitizerDivergence { .. }))
-        } else if diff {
-            outcome.accepted()
-                && outcome
+            SanDefectSet::none()
+        },
+        ..cfg.clone()
+    };
+    let mut culprits = Vec::new();
+    for bug in cfg.bugs.iter() {
+        replay.bugs = cfg.bugs.clone();
+        replay.bugs.disable(bug);
+        let outcome = run(&finding.scenario, &replay, None);
+        let still_finds = outcome.accepted()
+            && if san {
+                outcome.reports.iter().any(is_san_divergence)
+            } else if diff {
+                outcome
                     .reports
                     .iter()
                     .any(|r| matches!(r, KernelReport::StateDivergence { .. }))
-        } else {
-            outcome.accepted() && !outcome.reports.is_empty()
-        };
+            } else {
+                !outcome.reports.is_empty()
+            };
         if !still_finds {
             culprits.push(bug);
         }
@@ -181,36 +165,50 @@ pub fn triage_with_defects(
     culprits
 }
 
-/// Triage over the *sanitizer-defect* axis: for each armed sanitizer
-/// defect, replay the dual-execution scenario with that defect healed;
-/// the defects whose removal flips the divergence verdict are the ones
-/// the finding depends on. This is the sancheck analogue of kernel-bug
-/// triage — it answers "which seeded sanitizer bug did this reproducer
-/// actually catch?".
-pub fn triage_san_defects(
+/// Frozen-benchmark shim: [`triage`] under a configuration of `enabled`,
+/// `version`, `sanitize` and `san_defects`.
+pub fn triage_with_defects(
     finding: &Finding,
-    bugs: &BugSet,
+    enabled: &BugSet,
     version: KernelVersion,
-    armed: SanDefectSet,
-) -> Vec<SanDefect> {
-    let diverged = |outcome: &ScenarioOutcome| {
-        outcome
+    sanitize: bool,
+    san_defects: SanDefectSet,
+) -> Vec<BugId> {
+    let cfg = CampaignConfig {
+        bugs: enabled.clone(),
+        version,
+        sanitize,
+        san_defects,
+        ..CampaignConfig::new(GeneratorKind::Bvf, 0, 0)
+    };
+    triage(finding, &cfg)
+}
+
+/// Triage over the *sanitizer-defect* axis: for each of `cfg.san_defects`,
+/// replay the dual-execution scenario with that defect healed; the
+/// defects whose removal flips the divergence verdict are the ones the
+/// finding depends on. This is the sancheck analogue of kernel-bug
+/// triage — it answers "which seeded sanitizer bug did this reproducer
+/// actually catch?". The replays run on `cfg.bugs` under the dual run
+/// without the diff oracle, whatever `cfg` arms.
+pub fn triage_san_defects(finding: &Finding, cfg: &CampaignConfig) -> Vec<SanDefect> {
+    let mut replay = CampaignConfig {
+        diff_oracle: false,
+        san_diff: true,
+        ..cfg.clone()
+    };
+    let diverged = |replay: &CampaignConfig| {
+        run(&finding.scenario, replay, None)
             .reports
             .iter()
-            .any(|r| matches!(r, KernelReport::SanitizerDivergence { .. }))
+            .any(is_san_divergence)
     };
-    let baseline = diverged(&run_scenario_san_diff(
-        &finding.scenario,
-        bugs,
-        version,
-        armed,
-    ));
+    let baseline = diverged(&replay);
     let mut culprits = Vec::new();
-    for defect in armed.iter() {
-        let mut healed = armed;
-        healed.disable(defect);
-        let outcome = run_scenario_san_diff(&finding.scenario, bugs, version, healed);
-        if diverged(&outcome) != baseline {
+    for defect in cfg.san_defects.iter() {
+        replay.san_defects = cfg.san_defects;
+        replay.san_defects.disable(defect);
+        if diverged(&replay) != baseline {
             culprits.push(defect);
         }
     }
@@ -220,6 +218,7 @@ pub fn triage_san_defects(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::run_scenario;
     use bvf_isa::{asm, AluOp, JmpOp, Program, Reg, Size};
     use bvf_kernel_sim::btf::ids as btf_ids;
     use bvf_kernel_sim::helpers::proto::ids as helper;
@@ -272,7 +271,7 @@ mod tests {
         let out = run_scenario(&s, &bugs, KernelVersion::BpfNext, true);
         let finding = judge(&s, &out).expect("bug1 program must be flagged");
         assert_eq!(finding.indicator, Indicator::One);
-        let culprits = triage(&finding, &bugs, KernelVersion::BpfNext, true);
+        let culprits = triage(&finding, &CampaignConfig::new(GeneratorKind::Bvf, 0, 0));
         assert_eq!(culprits, vec![BugId::NullnessPropagation]);
     }
 

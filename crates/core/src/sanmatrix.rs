@@ -21,7 +21,9 @@ use bvf_kernel_sim::{KernelReport, SanDefect, SanDefectSet, SanDivergenceKind};
 use bvf_sancheck::{matrix_cases, MatrixCase};
 use bvf_verifier::KernelVersion;
 
-use crate::scenario::{run_scenario_san_diff, Scenario, ScenarioOutcome, Trigger};
+use crate::baseline::GeneratorKind;
+use crate::fuzz::CampaignConfig;
+use crate::scenario::{run, Scenario, ScenarioOutcome, Trigger};
 
 /// The outcome of one matrix case.
 #[derive(Debug, Clone)]
@@ -96,17 +98,32 @@ fn divergence_kind(outcome: &ScenarioOutcome) -> Option<SanDivergenceKind> {
     })
 }
 
+/// The dual-run configuration a matrix case replays under: the case's
+/// kernel bugs, `version`, and `defects` in both runs' kernels.
+fn case_config(case: &MatrixCase, version: KernelVersion, defects: SanDefectSet) -> CampaignConfig {
+    CampaignConfig {
+        bugs: case.bugs.clone(),
+        version,
+        san_diff: true,
+        san_defects: defects,
+        ..CampaignConfig::new(GeneratorKind::Bvf, 0, 0)
+    }
+}
+
 /// Runs one matrix case: dual execution with the defect armed, then
 /// healed, and the verdict-flip check between them.
 pub fn run_matrix_case(case: &MatrixCase, version: KernelVersion) -> MatrixCaseResult {
     let scenario = case_scenario(case);
-    let armed = run_scenario_san_diff(
+    let armed = run(
         &scenario,
-        &case.bugs,
-        version,
-        SanDefectSet::only(case.defect),
+        &case_config(case, version, SanDefectSet::only(case.defect)),
+        None,
     );
-    let healed = run_scenario_san_diff(&scenario, &case.bugs, version, SanDefectSet::none());
+    let healed = run(
+        &scenario,
+        &case_config(case, version, SanDefectSet::none()),
+        None,
+    );
     let kind_armed = divergence_kind(&armed);
     let kind_healed = divergence_kind(&healed);
     MatrixCaseResult {
@@ -168,11 +185,10 @@ mod tests {
             if !case.divergence_with_defect {
                 continue;
             }
-            let out = run_scenario_san_diff(
+            let out = run(
                 &case_scenario(&case),
-                &case.bugs,
-                KernelVersion::BpfNext,
-                SanDefectSet::none(),
+                &case_config(&case, KernelVersion::BpfNext, SanDefectSet::none()),
+                None,
             );
             assert!(
                 out.accepted(),

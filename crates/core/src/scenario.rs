@@ -19,6 +19,9 @@ use bvf_sancheck::{RunView, SanStats};
 use bvf_telemetry::PhaseTimings;
 use bvf_verifier::{Coverage, KernelVersion, VerifierOpts};
 
+use crate::baseline::GeneratorKind;
+use crate::fuzz::CampaignConfig;
+
 /// Memory pool size used for fuzzing kernels (smaller than the default
 /// for iteration speed; large enough for the standard resources).
 pub const FUZZ_POOL_SIZE: usize = 256 << 10;
@@ -121,7 +124,7 @@ pub struct ScenarioOutcome {
     /// Kfunc invocations during execution (test-run trigger only).
     pub kfunc_calls: u64,
     /// Differential-oracle counters (all zero unless the scenario ran
-    /// via [`run_scenario_diff`]). A divergence also appears in
+    /// with [`CampaignConfig::diff_oracle`]). A divergence also appears in
     /// `reports` as [`KernelReport::StateDivergence`].
     pub diff: DiffStats,
     /// FNV fold of the observable execution (test-run trigger only).
@@ -130,7 +133,7 @@ pub struct ScenarioOutcome {
     /// trigger only; always 0 on unsanitized runs).
     pub instrumented_steps: u64,
     /// Sanitizer self-validation counters (all zero unless the scenario
-    /// ran via [`run_scenario_san_diff`]). A divergence also appears in
+    /// ran with [`CampaignConfig::san_diff`]). A divergence also appears in
     /// `reports` as [`KernelReport::SanitizerDivergence`].
     pub san: SanStats,
 }
@@ -142,140 +145,44 @@ impl ScenarioOutcome {
     }
 }
 
-/// Executes a scenario on a fresh kernel with the given configuration.
-pub fn run_scenario(
-    scenario: &Scenario,
-    bugs: &BugSet,
-    version: KernelVersion,
-    sanitize: bool,
-) -> ScenarioOutcome {
-    run_scenario_inner(scenario, bugs, version, sanitize, false, true, None)
-}
-
-/// Like [`run_scenario`], but with the abstract-vs-concrete differential
-/// oracle armed: the verifier records per-instruction abstract-state
-/// snapshots, the interpreter records a concrete register trace
-/// (test-run trigger only), and a concretization-membership violation is
-/// appended to `reports` as [`KernelReport::StateDivergence`]
+/// Executes a scenario as a campaign configured by `cfg` runs it: on a
+/// fresh kernel with `cfg.bugs`, `cfg.version` and `cfg.san_defects`,
+/// with the differential oracle armed by `cfg.diff_oracle` and the
+/// explored-state index by `cfg.prune_index` (a pure filter: verdicts,
+/// coverage and the processed instruction count are identical either
+/// way). This is the one place that decides which oracles run; the
+/// campaign-only fields of `cfg` (generator, budget, batching) are
+/// ignored.
+///
+/// The differential oracle has the verifier record per-instruction
+/// abstract-state snapshots and the interpreter a concrete register
+/// trace (test-run trigger only); a concretization-membership violation
+/// is appended to `reports` as [`KernelReport::StateDivergence`]
 /// (Indicator #3).
-pub fn run_scenario_diff(
-    scenario: &Scenario,
-    bugs: &BugSet,
-    version: KernelVersion,
-    sanitize: bool,
-) -> ScenarioOutcome {
-    run_scenario_inner(scenario, bugs, version, sanitize, true, true, None)
-}
-
-/// [`run_scenario`] with the explored-state index toggled by
-/// `prune_index` (a pure filter: verdicts, coverage and the processed
-/// instruction count are identical either way).
-pub fn run_scenario_prune_index(
-    scenario: &Scenario,
-    bugs: &BugSet,
-    version: KernelVersion,
-    sanitize: bool,
-    prune_index: bool,
-) -> ScenarioOutcome {
-    run_scenario_inner(scenario, bugs, version, sanitize, false, prune_index, None)
-}
-
-/// [`run_scenario`]/[`run_scenario_diff`] with every verifier knob
-/// explicit, reusing an [`ExecScratch`]'s buffers (memory pool, KASAN
-/// shadow, trace steps) instead of allocating fresh ones — the
-/// campaign's per-iteration hot path. Recycling is invisible: outcomes
-/// are bit-identical to the scratch-free variants. `prune_index`
-/// toggles the fingerprint-bucketed explored-state index (a pure
-/// filter: verdicts and findings are identical either way).
 ///
-/// The ignored `_backend` argument is kept only for the frozen
-/// benchmark API (see [`Backend`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_scenario_scratch(
-    scenario: &Scenario,
-    bugs: &BugSet,
-    version: KernelVersion,
-    sanitize: bool,
-    diff_oracle: bool,
-    prune_index: bool,
-    _backend: Backend,
-    scratch: &mut ExecScratch,
-) -> ScenarioOutcome {
-    run_scenario_inner(
-        scenario,
-        bugs,
-        version,
-        sanitize,
-        diff_oracle,
-        prune_index,
-        Some(scratch),
-    )
-}
-
-/// The `bvf-sancheck` dual-execution oracle: runs the scenario twice on
-/// the same kernel configuration — sanitized, then unsanitized — and
-/// appends any disagreement beyond the documented instrumentation delta
-/// to the sanitized outcome's reports as
-/// [`KernelReport::SanitizerDivergence`].
+/// With `cfg.san_diff` the `bvf-sancheck` dual-execution oracle runs
+/// the scenario twice — sanitized (whatever `cfg.sanitize` says), then
+/// unsanitized without the diff oracle — and appends any disagreement
+/// beyond the documented instrumentation delta to the sanitized
+/// outcome's reports as [`KernelReport::SanitizerDivergence`]. The
+/// seeded sanitizer defects are kernel properties, armed in both runs;
+/// campaigns arm none, since on a correct sanitizer any divergence is a
+/// finding. Without `cfg.san_diff` it runs once, sanitized per
+/// `cfg.sanitize`.
 ///
-/// `defects` arms seeded sanitizer defects in **both** runs' kernels
-/// (defects are kernel properties; sanitation on/off is the differential
-/// axis). Campaigns pass [`SanDefectSet::none`] — on a correct sanitizer
-/// any divergence is a finding.
-pub fn run_scenario_san_diff(
+/// A `scratch` recycles the previous run's buffers (memory pool, KASAN
+/// shadow, trace steps) — the campaign's per-iteration hot path.
+/// Recycling is invisible: outcomes are bit-identical without one.
+pub fn run(
     scenario: &Scenario,
-    bugs: &BugSet,
-    version: KernelVersion,
-    defects: SanDefectSet,
-) -> ScenarioOutcome {
-    run_scenario_san_diff_with(
-        scenario,
-        bugs,
-        version,
-        defects,
-        false,
-        true,
-        Backend::Interp,
-        None,
-    )
-}
-
-/// [`run_scenario_san_diff`] with the diff oracle and scratch knobs
-/// explicit (the campaign's `--san-diff` hot path).
-///
-/// The ignored `_backend` argument is kept only for the frozen
-/// benchmark API (see [`Backend`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_scenario_san_diff_with(
-    scenario: &Scenario,
-    bugs: &BugSet,
-    version: KernelVersion,
-    defects: SanDefectSet,
-    diff_oracle: bool,
-    prune_index: bool,
-    _backend: Backend,
+    cfg: &CampaignConfig,
     mut scratch: Option<&mut ExecScratch>,
 ) -> ScenarioOutcome {
-    let mut primary = run_scenario_defects(
-        scenario,
-        bugs,
-        version,
-        true,
-        diff_oracle,
-        prune_index,
-        defects,
-        scratch.as_deref_mut(),
-    );
-    let secondary = run_scenario_defects(
-        scenario,
-        bugs,
-        version,
-        false,
-        false,
-        prune_index,
-        defects,
-        scratch,
-    );
+    if !cfg.san_diff {
+        return run_once(scenario, cfg, cfg.sanitize, cfg.diff_oracle, scratch);
+    }
+    let mut primary = run_once(scenario, cfg, true, cfg.diff_oracle, scratch.as_deref_mut());
+    let secondary = run_once(scenario, cfg, false, false, scratch);
 
     let mut san = SanStats::default();
     if primary.accepted() != secondary.accepted() {
@@ -325,51 +232,94 @@ pub fn run_scenario_san_diff_with(
     primary
 }
 
-fn run_scenario_inner(
+/// A plain run: the scenario on a fresh kernel with `bugs`, neither the
+/// diff oracle nor the dual run armed.
+pub fn run_scenario(
     scenario: &Scenario,
     bugs: &BugSet,
     version: KernelVersion,
     sanitize: bool,
-    diff_oracle: bool,
-    prune_index: bool,
-    scratch: Option<&mut ExecScratch>,
 ) -> ScenarioOutcome {
-    run_scenario_defects(
-        scenario,
-        bugs,
-        version,
-        sanitize,
-        diff_oracle,
-        prune_index,
-        SanDefectSet::none(),
-        scratch,
-    )
+    run(scenario, &replay_config(bugs, version, sanitize), None)
 }
 
+/// Frozen-benchmark shim: [`run`] without the dual run. The ignored
+/// `_backend` argument is kept only for that API (see [`Backend`]).
 #[allow(clippy::too_many_arguments)]
-fn run_scenario_defects(
+pub fn run_scenario_scratch(
     scenario: &Scenario,
     bugs: &BugSet,
     version: KernelVersion,
     sanitize: bool,
     diff_oracle: bool,
     prune_index: bool,
+    _backend: Backend,
+    scratch: &mut ExecScratch,
+) -> ScenarioOutcome {
+    let cfg = CampaignConfig {
+        diff_oracle,
+        prune_index,
+        ..replay_config(bugs, version, sanitize)
+    };
+    run(scenario, &cfg, Some(scratch))
+}
+
+/// Frozen-benchmark shim: [`run`] with the dual run armed and `defects`
+/// in both runs' kernels. The ignored `_backend` argument is kept only
+/// for that API (see [`Backend`]).
+#[allow(clippy::too_many_arguments)]
+pub fn run_scenario_san_diff_with(
+    scenario: &Scenario,
+    bugs: &BugSet,
+    version: KernelVersion,
     defects: SanDefectSet,
+    diff_oracle: bool,
+    prune_index: bool,
+    _backend: Backend,
+    scratch: Option<&mut ExecScratch>,
+) -> ScenarioOutcome {
+    let cfg = CampaignConfig {
+        diff_oracle,
+        prune_index,
+        san_diff: true,
+        san_defects: defects,
+        ..replay_config(bugs, version, true)
+    };
+    run(scenario, &cfg, scratch)
+}
+
+/// The configuration of a standalone replay: `bugs`, `version` and
+/// `sanitize`, with every oracle knob at its campaign default.
+fn replay_config(bugs: &BugSet, version: KernelVersion, sanitize: bool) -> CampaignConfig {
+    CampaignConfig {
+        bugs: bugs.clone(),
+        version,
+        sanitize,
+        ..CampaignConfig::new(GeneratorKind::Bvf, 0, 0)
+    }
+}
+
+/// One execution: load, then trigger, on a fresh kernel.
+fn run_once(
+    scenario: &Scenario,
+    cfg: &CampaignConfig,
+    sanitize: bool,
+    diff_oracle: bool,
     mut scratch: Option<&mut ExecScratch>,
 ) -> ScenarioOutcome {
     let opts = VerifierOpts {
-        version,
+        version: cfg.version,
         snapshots: diff_oracle,
-        prune_index,
+        prune_index: cfg.prune_index,
         ..Default::default()
     };
     // Boot a fuzzing-sized kernel (smaller pool for iteration speed),
     // recycling the previous iteration's buffers when a scratch is given.
     let mut kernel = match scratch.as_deref_mut() {
-        Some(s) => s.boot_kernel(bugs.clone(), FUZZ_POOL_SIZE),
-        None => bvf_kernel_sim::Kernel::with_pool_size(bugs.clone(), FUZZ_POOL_SIZE),
+        Some(s) => s.boot_kernel(cfg.bugs.clone(), FUZZ_POOL_SIZE),
+        None => bvf_kernel_sim::Kernel::with_pool_size(cfg.bugs.clone(), FUZZ_POOL_SIZE),
     };
-    kernel.mm.san_defects = defects;
+    kernel.mm.san_defects = cfg.san_defects;
     let mut bpf = Bpf::with_kernel(kernel, opts, sanitize);
     for def in standard_maps() {
         bpf.map_create(def).expect("standard maps fit");

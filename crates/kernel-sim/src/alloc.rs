@@ -12,8 +12,7 @@
 //! exactly this difference.
 
 use crate::kasan::{Shadow, POISON_FREED, POISON_REDZONE};
-use crate::mem::{MemPool, Translation, KERNEL_BASE};
-use crate::report::KasanKind;
+use crate::mem::{MemPool, KERNEL_BASE};
 use crate::sandefect::{SanDefect, SanDefectSet};
 
 /// Redzone size on each side of an allocation.
@@ -271,14 +270,6 @@ impl Mm {
         self.shadow.check(&self.pool, addr, size)
     }
 
-    /// Classification helper for raw (unchecked) access faults.
-    pub fn fault_kind(&self, addr: u64) -> KasanKind {
-        match self.pool.translate(addr, 1) {
-            Translation::NullPage => KasanKind::NullDeref,
-            _ => KasanKind::WildAccess,
-        }
-    }
-
     /// Total bytes currently free (for tests and diagnostics).
     pub fn free_bytes(&self) -> usize {
         self.free.iter().map(|(_, l)| l).sum()
@@ -293,6 +284,7 @@ impl Mm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::KasanKind;
 
     #[test]
     fn alloc_grants_exactly_requested_bytes() {

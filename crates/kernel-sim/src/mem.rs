@@ -69,11 +69,6 @@ impl MemPool {
         self.bytes.is_empty()
     }
 
-    /// The virtual address of pool offset `off`.
-    pub fn addr_of(&self, off: usize) -> u64 {
-        KERNEL_BASE + off as u64
-    }
-
     /// Translates a virtual address (for an access of `size` bytes).
     #[inline]
     pub fn translate(&self, addr: u64, size: u64) -> Translation {
@@ -148,11 +143,6 @@ impl MemPool {
         for i in 0..size as usize {
             self.bytes[off + i] = (value >> (8 * i)) as u8;
         }
-    }
-
-    /// Copies bytes out of the pool.
-    pub fn read_bytes(&self, off: usize, len: usize) -> &[u8] {
-        &self.bytes[off..off + len]
     }
 
     /// Copies bytes into the pool.

@@ -69,11 +69,6 @@ impl StackSlot {
     pub fn is_full_spill(&self) -> bool {
         self.bytes.iter().all(|b| *b == StackByte::Spill)
     }
-
-    /// Whether every byte has been initialized somehow.
-    pub fn all_initialized(&self) -> bool {
-        self.bytes.iter().all(|b| *b != StackByte::Invalid)
-    }
 }
 
 /// One frame's stack slots; slot `i` covers bytes `[-8*(i+1), -8*i)`

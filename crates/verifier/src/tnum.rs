@@ -257,12 +257,6 @@ impl Tnum {
         }
     }
 
-    /// Replaces the whole tnum with a 32-bit constant subregister
-    /// (`tnum_const_subreg`).
-    pub fn const_subreg(self, value: u32) -> Tnum {
-        self.with_subreg(Tnum::const_val(value as u64))
-    }
-
     /// Minimum possible unsigned value.
     pub fn umin(self) -> u64 {
         self.value

@@ -9,9 +9,9 @@
 //! register value escape the proved bounds.
 
 use bvf::fuzz::{report_signature, run_campaign, CampaignConfig};
-use bvf::minimize::minimize_finding;
+use bvf::minimize::minimize;
 use bvf::oracle::{judge, triage, Indicator};
-use bvf::scenario::{run_scenario, run_scenario_diff, Scenario};
+use bvf::scenario::{run, run_scenario, Scenario};
 use bvf::GeneratorKind;
 use bvf_isa::{asm, AluOp, JmpOp, Program, Reg, Size};
 use bvf_kernel_sim::helpers::proto::ids as helper;
@@ -46,6 +46,23 @@ fn or_bounds_scenario() -> Scenario {
     s
 }
 
+/// A replay on `bugs` with the diff oracle armed.
+fn diff_config(bugs: BugSet) -> CampaignConfig {
+    let mut cfg = CampaignConfig::new(GeneratorKind::Bvf, 0, 0);
+    cfg.bugs = bugs;
+    cfg.diff_oracle = true;
+    cfg
+}
+
+fn load_fixture() -> Scenario {
+    let json = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/fixtures/indicator3_or_bounds.json"
+    ))
+    .expect("fixture must exist");
+    serde_json::from_str(&json).expect("fixture must parse")
+}
+
 #[test]
 fn bounds_refinement_defect_invisible_to_indicators_one_and_two() {
     let s = or_bounds_scenario();
@@ -61,8 +78,8 @@ fn bounds_refinement_defect_invisible_to_indicators_one_and_two() {
 #[test]
 fn diff_oracle_flags_bounds_refinement_as_indicator_three() {
     let s = or_bounds_scenario();
-    let bugs = BugSet::all();
-    let out = run_scenario_diff(&s, &bugs, KernelVersion::BpfNext, true);
+    let cfg = diff_config(BugSet::all());
+    let out = run(&s, &cfg, None);
     assert!(out.accepted());
     assert!(out.diff.steps_checked > 0, "trace must have been checked");
     let f = judge(&s, &out).expect("diff oracle must flag the escape");
@@ -78,7 +95,7 @@ fn diff_oracle_flags_bounds_refinement_as_indicator_three() {
     assert_eq!(div, (3, 6), "r3 = 4 | 2 = 6 escapes the proved umax of 4");
 
     // Differential triage pins the finding on bug #12 alone.
-    let culprits = triage(&f, &bugs, KernelVersion::BpfNext, true);
+    let culprits = triage(&f, &cfg);
     assert_eq!(culprits, vec![BugId::BoundsRefinement]);
 }
 
@@ -86,7 +103,7 @@ fn diff_oracle_flags_bounds_refinement_as_indicator_three() {
 fn diff_oracle_silent_on_fixed_kernel() {
     // The reproducer on a defect-free kernel: same bounds, no escape.
     let s = or_bounds_scenario();
-    let out = run_scenario_diff(&s, &BugSet::none(), KernelVersion::BpfNext, true);
+    let out = run(&s, &diff_config(BugSet::none()), None);
     assert!(out.accepted());
     assert!(
         judge(&s, &out).is_none(),
@@ -127,14 +144,13 @@ fn minimize_preserves_indicator_three_signature() {
     insns.push(exit);
     s.prog = Program::from_insns(insns);
 
-    let bugs = BugSet::all();
-    let out = minimize_finding(&s, &bugs, KernelVersion::BpfNext, true, true)
-        .expect("indicator #3 finding must minimize");
+    let cfg = diff_config(BugSet::all());
+    let out = minimize(&s, &cfg, 1).expect("indicator #3 finding must minimize");
     assert!(out.units_kept < out.units_total);
     assert_eq!(out.scenario.prog.insn_count(), s.prog.insn_count());
 
     // Replay the minimized scenario: identical signature, still #3.
-    let replay = run_scenario_diff(&out.scenario, &bugs, KernelVersion::BpfNext, true);
+    let replay = run(&out.scenario, &cfg, None);
     let f = judge(&out.scenario, &replay).expect("minimized scenario must reproduce");
     assert_eq!(f.indicator, Indicator::Three);
     assert_eq!(report_signature(f.indicator, &f.reports), out.signature);
@@ -144,17 +160,35 @@ fn minimize_preserves_indicator_three_signature() {
 fn committed_fixture_reproduces_and_minimizes() {
     // The CI minimize round-trip runs against this committed finding;
     // this test keeps the fixture in sync with the reproducer above.
-    let json = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/fixtures/indicator3_or_bounds.json"
-    ))
-    .expect("fixture must exist");
-    let s: Scenario = serde_json::from_str(&json).expect("fixture must parse");
+    let s = load_fixture();
     assert_eq!(s.prog.insns(), or_bounds_scenario().prog.insns());
 
-    let out = minimize_finding(&s, &BugSet::all(), KernelVersion::BpfNext, true, true)
-        .expect("fixture must minimize");
+    let out = minimize(&s, &diff_config(BugSet::all()), 1).expect("fixture must minimize");
     assert_eq!(out.signature, "Three:statediv:r3");
+}
+
+#[test]
+fn both_oracles_armed_reproduce_minimize_and_triage_the_fixture() {
+    // A finding from a `fuzz --diff-oracle --san-diff` campaign must
+    // replay, minimize and triage under that same configuration: the
+    // dual run keeps the diff oracle armed in its sanitized run.
+    let s = load_fixture();
+    let mut cfg = diff_config(BugSet::all());
+    cfg.san_diff = true;
+
+    let out = run(&s, &cfg, None);
+    assert!(out.diff.steps_checked > 0, "the diff oracle must run");
+    assert_eq!(out.san.runs, 1, "the dual run must run");
+    let f = judge(&s, &out).expect("both oracles armed must flag the escape");
+    assert_eq!(
+        report_signature(f.indicator, &f.reports),
+        "Three:statediv:r3"
+    );
+
+    let min = minimize(&s, &cfg, 2).expect("fixture must minimize with both oracles armed");
+    assert_eq!(min.signature, "Three:statediv:r3");
+
+    assert_eq!(triage(&f, &cfg), vec![BugId::BoundsRefinement]);
 }
 
 #[test]

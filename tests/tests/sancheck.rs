@@ -11,9 +11,9 @@
 //! fails here (and in the `bvf sancheck --matrix` CI smoke).
 
 use bvf::fuzz::{run_campaign, CampaignConfig};
-use bvf::minimize::minimize_finding_san;
+use bvf::minimize::minimize;
 use bvf::sanmatrix::run_matrix;
-use bvf::scenario::{run_scenario_san_diff, Scenario};
+use bvf::scenario::{run, Scenario};
 use bvf::GeneratorKind;
 use bvf_kernel_sim::{BugSet, KernelReport, SanDefect, SanDefectSet};
 use bvf_verifier::KernelVersion;
@@ -106,14 +106,23 @@ fn load_fixture() -> Scenario {
     serde_json::from_str(&json).expect("fixture must parse")
 }
 
+/// A dual-run replay on the defect-free kernel with `defects` armed in
+/// both runs.
+fn san_config(defects: SanDefectSet) -> CampaignConfig {
+    let mut cfg = CampaignConfig::new(GeneratorKind::Bvf, 0, 0);
+    cfg.bugs = BugSet::none();
+    cfg.san_diff = true;
+    cfg.san_defects = defects;
+    cfg
+}
+
 #[test]
 fn committed_fixture_diverges_only_when_armed() {
     let s = load_fixture();
-    let armed = run_scenario_san_diff(
+    let armed = run(
         &s,
-        &BugSet::none(),
-        KernelVersion::BpfNext,
-        SanDefectSet::only(SanDefect::ScratchClobber),
+        &san_config(SanDefectSet::only(SanDefect::ScratchClobber)),
+        None,
     );
     assert!(armed.accepted(), "fixture must verify: {:?}", armed.load);
     assert!(
@@ -124,12 +133,7 @@ fn committed_fixture_diverges_only_when_armed() {
         "armed replay must diverge: {:?}",
         armed.reports
     );
-    let healed = run_scenario_san_diff(
-        &s,
-        &BugSet::none(),
-        KernelVersion::BpfNext,
-        SanDefectSet::none(),
-    );
+    let healed = run(&s, &san_config(SanDefectSet::none()), None);
     assert!(
         !healed
             .reports
@@ -143,19 +147,13 @@ fn committed_fixture_diverges_only_when_armed() {
 #[test]
 fn minimize_round_trips_divergence_signature() {
     let s = load_fixture();
-    let defects = SanDefectSet::only(SanDefect::ScratchClobber);
-    let out = minimize_finding_san(&s, &BugSet::none(), KernelVersion::BpfNext, defects, 1)
-        .expect("fixture must minimize");
+    let cfg = san_config(SanDefectSet::only(SanDefect::ScratchClobber));
+    let out = minimize(&s, &cfg, 1).expect("fixture must minimize");
     assert_eq!(out.signature, "One:sandiv:exec-mismatch");
 
     // The minimized scenario replays to the same signature — the
     // round-trip CI asserts this via `bvf replay`.
-    let replay = run_scenario_san_diff(
-        &out.scenario,
-        &BugSet::none(),
-        KernelVersion::BpfNext,
-        defects,
-    );
+    let replay = run(&out.scenario, &cfg, None);
     assert!(
         replay
             .reports
