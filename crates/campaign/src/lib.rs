@@ -30,14 +30,17 @@
 //! - [`join`]: worker-identified join-error propagation — a panicking
 //!   worker is reported by index with its panic message, after every
 //!   sibling has been joined;
-//! - [`shard`]: the cross-worker concurrent finding-signature set
-//!   (sharded mutexes) that lets exactly one worker pay for eager
-//!   differential triage per signature;
 //! - [`progress`]: the single shared stderr writer that keeps
 //!   `--stats-every` output un-torn under N writers;
-//! - [`merge`]: the observational merges that remain crate-local —
-//!   registry folding in worker order and worker-tagged trace
-//!   interleaving (result merging lives in [`bvf::fuzz::merge_batches`]).
+//! - [`merge`]: registry folding in worker order (result merging lives
+//!   in [`bvf::fuzz::merge_batches`]).
+//!
+//! The workers share one [`bvf::fuzz::SerialDedup`] claim set for the
+//! campaign: the first worker to meet a finding signature triages it
+//! eagerly. A claim only decides *where* triage runs, never a result,
+//! and a campaign makes a few claims per batch, so one mutex is ample.
+//! Each worker hands back its trace one batch at a time and the chunks
+//! are concatenated in batch order, which is iteration order.
 
 #![warn(missing_docs)]
 
@@ -46,11 +49,9 @@ pub mod join;
 pub mod merge;
 pub mod orchestrator;
 pub mod progress;
-pub mod shard;
 
 pub use exchange::{ExchangeHub, SubscribeStats};
 pub use join::{join_all, WorkerPanic};
-pub use merge::{interleave_traces, merge_registries};
+pub use merge::merge_registries;
 pub use orchestrator::{run_sharded, ParallelConfig, ParallelOutcome, WorkerSummary};
 pub use progress::SharedProgress;
-pub use shard::ShardedSignatureSet;

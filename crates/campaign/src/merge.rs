@@ -1,12 +1,11 @@
-//! Merging of per-worker observability streams.
+//! Merging of per-worker metric registries.
 //!
 //! The campaign *result* is merged by [`bvf::fuzz::merge_batches`] —
 //! a pure fold over batch outputs in batch order, shared with the
 //! serial driver so 1-worker identity is structural. What remains here
 //! is the observational side: folding per-worker metric registries in
-//! worker-id order (so merged histograms and counters are stable
-//! however threads finished) and interleaving worker-tagged JSONL
-//! traces into one deterministic stream.
+//! worker-id order, so merged histograms and counters are stable
+//! however threads finished.
 
 use bvf_telemetry::Registry;
 
@@ -20,64 +19,4 @@ pub fn merge_registries(registries: impl IntoIterator<Item = Registry>) -> Regis
         merged.merge(&r);
     }
     merged
-}
-
-/// Interleaves per-worker JSONL trace buffers into one stream, ordered
-/// by `(iter, worker)` — a deterministic total order, unlike the `t_ns`
-/// stamps (which remain in the records for latency analysis). Lines
-/// that fail to parse are dropped.
-pub fn interleave_traces(mut buffers: Vec<(usize, Vec<u8>)>) -> Vec<u8> {
-    buffers.sort_by_key(|&(worker, _)| worker);
-    let mut lines: Vec<(usize, usize, String)> = Vec::new();
-    for (worker, buf) in buffers {
-        let Ok(text) = String::from_utf8(buf) else {
-            continue;
-        };
-        for line in text.lines() {
-            let Ok(v) = serde_json::from_str::<serde_json::Value>(line) else {
-                continue;
-            };
-            let Some(iter) = v["iter"].as_u64() else {
-                continue;
-            };
-            lines.push((iter as usize, worker, line.to_string()));
-        }
-    }
-    // Stable sort: events of one worker within one iteration keep their
-    // emission order (gen before verify before exec ...).
-    lines.sort_by_key(|&(iter, worker, _)| (iter, worker));
-    let mut out = Vec::new();
-    for (_, _, line) in lines {
-        out.extend_from_slice(line.as_bytes());
-        out.push(b'\n');
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn interleave_orders_by_iteration_then_worker() {
-        let w0 = b"{\"ev\":\"gen\",\"iter\":0,\"t_ns\":5}\n{\"ev\":\"verify\",\"iter\":0,\"t_ns\":6}\n{\"ev\":\"gen\",\"iter\":2,\"t_ns\":9}\n".to_vec();
-        let w1 =
-            b"{\"ev\":\"gen\",\"iter\":1,\"t_ns\":1}\n{\"ev\":\"gen\",\"iter\":3,\"t_ns\":2}\n"
-                .to_vec();
-        // Buffers deliberately passed out of worker order.
-        let merged = interleave_traces(vec![(1, w1), (0, w0)]);
-        let text = String::from_utf8(merged).unwrap();
-        let iters: Vec<u64> = text
-            .lines()
-            .map(|l| {
-                serde_json::from_str::<serde_json::Value>(l).unwrap()["iter"]
-                    .as_u64()
-                    .unwrap()
-            })
-            .collect();
-        assert_eq!(iters, vec![0, 0, 1, 2, 3]);
-        // Same-iteration events keep per-worker emission order.
-        assert!(text.lines().next().unwrap().contains("\"gen\""));
-        assert!(text.lines().nth(1).unwrap().contains("\"verify\""));
-    }
 }

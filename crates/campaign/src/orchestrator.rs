@@ -27,15 +27,16 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use bvf::corpus::CorpusSnapshot;
-use bvf::fuzz::{batch_count, merge_batches, BatchOutput, CampaignConfig, CampaignWorker};
+use bvf::fuzz::{
+    batch_count, merge_batches, BatchOutput, CampaignConfig, CampaignWorker, SerialDedup,
+};
 use bvf_runtime::ExecScratch;
 use bvf_telemetry::profile::elapsed_ns;
 use bvf_telemetry::{JsonlSink, NullSink, Registry, Telemetry, TraceSink};
 
 use crate::exchange::ExchangeHub;
-use crate::merge::{interleave_traces, merge_registries};
+use crate::merge::merge_registries;
 use crate::progress::SharedProgress;
-use crate::shard::ShardedSignatureSet;
 
 /// Parallelism knobs for one work-stealing campaign. The corpus
 /// exchange cadence lives in [`CampaignConfig`] (`batch_len`,
@@ -48,8 +49,8 @@ pub struct ParallelConfig {
     /// Live progress cadence in completed global iterations (0 =
     /// silent); output goes through one shared writer, never torn.
     pub stats_every: usize,
-    /// Collect per-worker JSONL traces and interleave them into
-    /// [`ParallelOutcome::trace`].
+    /// Collect each batch's JSONL trace and concatenate them in batch
+    /// order into [`ParallelOutcome::trace`].
     pub trace: bool,
     /// Deterministic schedule jitter: when non-zero, each worker sleeps
     /// a few hundred microseconds (hashed from `chaos`, the batch id,
@@ -109,8 +110,9 @@ pub struct ParallelOutcome {
     /// truth, plus the scheduler counters `campaign.steal_count`,
     /// `campaign.lease_wait_ns`, and `campaign.exchange_backlog`.
     pub registry: Registry,
-    /// Worker-tagged trace, interleaved by `(iter, worker)`; `Some`
-    /// only when [`ParallelConfig::trace`] was set.
+    /// Worker-tagged trace, batch by batch in batch order (so in
+    /// iteration order, whatever the worker count); `Some` only when
+    /// [`ParallelConfig::trace`] was set.
     pub trace: Option<Vec<u8>>,
     /// Per-worker summaries, in worker-id order.
     pub workers: Vec<WorkerSummary>,
@@ -145,7 +147,8 @@ struct WorkerRun {
     stolen: usize,
     outputs: Vec<BatchOutput>,
     registry: Registry,
-    trace: Option<Vec<u8>>,
+    /// `(batch, trace chunk)` per batch run, when tracing.
+    traces: Vec<(usize, Vec<u8>)>,
     wall_ns: u64,
 }
 
@@ -182,7 +185,7 @@ pub fn run_sharded(cfg: &CampaignConfig, pcfg: &ParallelConfig) -> ParallelOutco
     let trace_epoch = Instant::now();
     let batches = batch_count(cfg);
 
-    let dedup = ShardedSignatureSet::new((workers * 4).next_power_of_two());
+    let dedup = SerialDedup::default();
     let hub = ExchangeHub::new(cfg);
     let progress = (pcfg.stats_every > 0)
         .then(|| SharedProgress::new(cfg.iterations, pcfg.stats_every, workers));
@@ -234,9 +237,7 @@ pub fn run_sharded(cfg: &CampaignConfig, pcfg: &ParallelConfig) -> ParallelOutco
     let mut traces = Vec::new();
     for r in runs {
         registries.push(r.registry);
-        if let Some(t) = r.trace {
-            traces.push((r.worker, t));
-        }
+        traces.extend(r.traces);
         outputs.extend(r.outputs);
     }
 
@@ -258,7 +259,12 @@ pub fn run_sharded(cfg: &CampaignConfig, pcfg: &ParallelConfig) -> ParallelOutco
     );
     registry.add("merge.triaged", merge_stats.merge_triaged as u64);
 
-    let trace = pcfg.trace.then(|| interleave_traces(traces));
+    // Each iteration belongs to exactly one batch, so batch order is
+    // iteration order.
+    let trace = pcfg.trace.then(|| {
+        traces.sort_unstable_by_key(|&(batch, _)| batch);
+        traces.into_iter().flat_map(|(_, t)| t).collect()
+    });
 
     ParallelOutcome {
         result,
@@ -285,7 +291,7 @@ fn run_worker(
     pcfg: &ParallelConfig,
     queues: &[Mutex<VecDeque<usize>>],
     hub: &ExchangeHub,
-    dedup: &ShardedSignatureSet,
+    dedup: &SerialDedup,
     progress: Option<&SharedProgress>,
     trace_epoch: Instant,
 ) -> WorkerRun {
@@ -302,6 +308,7 @@ fn run_worker(
     let mut tel = Telemetry::new(sink);
     let mut scratch = ExecScratch::new();
     let mut outputs = Vec::new();
+    let mut traces = Vec::new();
     let mut stolen = 0usize;
 
     while let Some((batch, was_steal)) = next_lease(queues, w) {
@@ -339,18 +346,21 @@ fn run_worker(
         let out = worker.into_output();
         hub.publish(batch, out.ledger_entry());
         outputs.push(out);
+        if let Some(b) = &buf {
+            traces.push((
+                batch,
+                std::mem::take(&mut *b.lock().expect("trace buffer poisoned")),
+            ));
+        }
     }
 
     tel.finish();
-    let registry = std::mem::take(&mut tel.registry);
-    drop(tel); // releases the sink's buffer handle
-    let trace = buf.map(|b| std::mem::take(&mut *b.lock().expect("trace buffer poisoned")));
     WorkerRun {
         worker: w,
         stolen,
         outputs,
-        registry,
-        trace,
+        registry: std::mem::take(&mut tel.registry),
+        traces,
         wall_ns: elapsed_ns(t0),
     }
 }
@@ -376,6 +386,56 @@ mod tests {
         assert_eq!(next_lease(&queues, 0), Some((2, false)));
         assert_eq!(next_lease(&queues, 0), None);
         assert_eq!(next_lease(&queues, 1), None);
+    }
+
+    /// A trace with its observational members cut: timings, the worker
+    /// tag, and triage culprits (which worker wins a signature's claim,
+    /// and so triages eagerly, varies with the schedule).
+    fn normalized_trace(workers: usize, chaos: u64) -> Vec<serde_json::Value> {
+        let cfg = CampaignConfig {
+            batch_len: 16,
+            exchange_every: 32,
+            ..CampaignConfig::new(bvf::baseline::GeneratorKind::Bvf, 192, 41)
+        };
+        let pcfg = ParallelConfig {
+            trace: true,
+            chaos,
+            ..ParallelConfig::new(workers)
+        };
+        let trace = run_sharded(&cfg, &pcfg).trace.expect("trace requested");
+        String::from_utf8(trace)
+            .expect("trace is UTF-8")
+            .lines()
+            .map(|line| {
+                let v: serde_json::Value = serde_json::from_str(line).expect("valid JSONL");
+                let serde_json::Value::Object(mut map) = v else {
+                    panic!("trace line is not an object: {line}");
+                };
+                for key in [
+                    "t_ns",
+                    "worker",
+                    "do_check_ns",
+                    "total_ns",
+                    "triage_ns",
+                    "culprits",
+                ] {
+                    map.remove(key);
+                }
+                serde_json::Value::Object(map)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn trace_is_in_iteration_order_at_any_worker_count() {
+        let one = normalized_trace(1, 0);
+        assert!(one.len() > 192, "every iteration emits events");
+        let iters: Vec<u64> = one.iter().map(|v| v["iter"].as_u64().unwrap()).collect();
+        assert!(iters.windows(2).all(|w| w[0] <= w[1]), "iteration order");
+        assert_eq!(iters.last(), Some(&191));
+        // Three chaos-jittered workers steal batches in another order;
+        // the batch-ordered concatenation hides it.
+        assert_eq!(one, normalized_trace(3, 7));
     }
 
     #[test]

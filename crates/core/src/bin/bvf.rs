@@ -66,9 +66,11 @@
 //! schedule dependence — results must not change). `--batch-len`,
 //! `--exchange-every` and `--exchange-batch` set the lease-batch
 //! geometry and corpus-exchange cadence; they are campaign inputs, so
-//! changing them changes the result (worker count never does). With
-//! multiple workers the trace is worker-tagged and interleaved by
-//! iteration, and progress lines go through one shared writer.
+//! changing them changes the result (worker count never does). Every
+//! local campaign runs on the work-stealing scheduler, one worker
+//! included: the trace is worker-tagged and written batch by batch in
+//! batch order (so in iteration order), and progress lines go through
+//! one shared writer.
 //!
 //! `bvf serve` starts the distributed campaign-fabric coordinator
 //! (`bvf-fabric`): workers attach with `bvf worker --connect`, clients
@@ -77,8 +79,8 @@
 //! finding-dedup claims travel the wire, and the merged result —
 //! including under worker churn — is bit-identical to running the same
 //! config locally (`--json-out` files differ only in the observational
-//! `metrics` member). `--state DIR` persists the fabric-wide dedup
-//! claims log and per-campaign stats across coordinator restarts.
+//! `metrics` member). `--state DIR` receives each merged campaign's
+//! stats and, on shutdown, the coordinator's counters.
 //!
 //! `bvf corpus export` runs a campaign (same flags as `fuzz`) and
 //! writes a versioned corpus snapshot — per lease batch, the retained
@@ -88,8 +90,11 @@
 //! becomes every batch's mutation base and its coverage gates
 //! retention, so the new campaign hunts only what the old one missed).
 //! `fuzz --corpus-out` is `export` inline.
+//!
+//! Each subcommand accepts only the flags listed above: an unknown
+//! flag, a value flag with no value, or a stray argument exits 2.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::sync::atomic::AtomicBool;
@@ -97,9 +102,7 @@ use std::time::Duration;
 
 use bvf::baseline::GeneratorKind;
 use bvf::corpus::CorpusSnapshot;
-use bvf::fuzz::{
-    report_signature, run_campaign_with_telemetry, CampaignConfig, CampaignResult, FindingRecord,
-};
+use bvf::fuzz::{report_signature, CampaignConfig, FindingRecord};
 use bvf::minimize::minimize;
 use bvf::oracle::{judge, triage, triage_san_defects};
 use bvf::sanmatrix::run_matrix;
@@ -107,7 +110,7 @@ use bvf::scenario::{run, Scenario};
 use bvf_campaign::{run_sharded, ParallelConfig};
 use bvf_fabric::{run_worker, Client, Coordinator, CoordinatorOptions, FabricError, WorkerOptions};
 use bvf_kernel_sim::{BugId, BugSet, KernelReport, SanDefect, SanDefectSet};
-use bvf_telemetry::{JsonlSink, NullSink, Registry, Telemetry, TraceEvent, TraceSink};
+use bvf_telemetry::TraceEvent;
 use bvf_verifier::KernelVersion;
 
 fn usage() -> ! {
@@ -137,19 +140,134 @@ fn usage() -> ! {
     exit(2)
 }
 
-struct Args(Vec<String>);
+/// The flags that say which kernel a scenario runs on and which oracles
+/// judge it; [`run_config`] reads them.
+const RUN_VALUES: &[&str] = &["--bugs", "--version", "--san-defect"];
+const RUN_FLAGS: &[&str] = &["--no-sanitize", "--diff-oracle", "--san-diff"];
+/// The rest of a campaign's definition; [`campaign_config`] reads them.
+const CAMPAIGN_VALUES: &[&str] = &[
+    "--generator",
+    "--iters",
+    "--seed",
+    "--snapshot-every",
+    "--batch-len",
+    "--exchange-every",
+    "--exchange-batch",
+    "--corpus-in",
+];
+const CAMPAIGN_FLAGS: &[&str] = &["--no-triage", "--no-feedback", "--steer"];
+
+/// What one subcommand accepts: flags in groups (`values` take an
+/// argument, `flags` stand alone) and whether it takes positional
+/// arguments (file paths, the `corpus` action).
+struct Spec {
+    values: &'static [&'static [&'static str]],
+    flags: &'static [&'static [&'static str]],
+    positional: bool,
+}
+
+impl Spec {
+    /// What `cmd` (with `sub`, its first positional argument, for
+    /// `corpus`) accepts; `None` for an unknown subcommand.
+    fn of(cmd: &str, sub: Option<&str>) -> Option<Spec> {
+        let (values, flags): (&[&[&str]], &[&[&str]]) = match (cmd, sub) {
+            ("fuzz", _) => (
+                &[
+                    RUN_VALUES,
+                    CAMPAIGN_VALUES,
+                    &[
+                        "--workers",
+                        "--chaos",
+                        "--corpus-out",
+                        "--trace-out",
+                        "--json-out",
+                        "--stats-every",
+                        "--save-findings",
+                        "--remote",
+                    ],
+                ],
+                &[RUN_FLAGS, CAMPAIGN_FLAGS],
+            ),
+            ("corpus", Some("export")) => (
+                &[RUN_VALUES, CAMPAIGN_VALUES, &["--workers", "--out"]],
+                &[RUN_FLAGS, CAMPAIGN_FLAGS],
+            ),
+            ("corpus", Some("import")) => (&[&["--out"]], &[]),
+            ("corpus", _) | ("report", _) | ("disasm", _) | ("bugs", _) => (&[], &[]),
+            ("serve", _) => (&[&["--listen", "--state", "--lease-timeout"]], &[]),
+            ("worker", _) => (&[&["--connect", "--poll-ms", "--max-batches"]], &[]),
+            ("replay", _) => (&[RUN_VALUES], &[RUN_FLAGS]),
+            ("minimize", _) => (&[RUN_VALUES, &["--jobs", "--out"]], &[RUN_FLAGS]),
+            ("sancheck", _) => (&[&["--version", "--json-out"]], &[&["--matrix"]]),
+            _ => return None,
+        };
+        let positional = !matches!(cmd, "fuzz" | "serve" | "worker" | "sancheck" | "bugs");
+        Some(Spec {
+            values,
+            flags,
+            positional,
+        })
+    }
+
+    fn names(groups: &'static [&'static [&'static str]]) -> impl Iterator<Item = &'static str> {
+        groups.iter().flat_map(|g| g.iter().copied())
+    }
+}
+
+/// One subcommand's parsed arguments.
+struct Args {
+    values: BTreeMap<&'static str, String>,
+    flags: BTreeSet<&'static str>,
+    positional: Vec<String>,
+}
 
 impl Args {
+    /// Parses `argv` (the arguments after the subcommand) against
+    /// `spec`. An unknown flag, a value flag with no value, or a stray
+    /// positional argument is an error: a misspelled flag must stop the
+    /// run, not leave a default in force. A repeated value flag keeps
+    /// its first value.
+    fn parse(spec: &Spec, argv: &[String]) -> Result<Args, String> {
+        let mut args = Args {
+            values: BTreeMap::new(),
+            flags: BTreeSet::new(),
+            positional: Vec::new(),
+        };
+        let mut it = argv.iter();
+        while let Some(a) = it.next() {
+            if !a.starts_with("--") {
+                if !spec.positional {
+                    return Err(format!("unexpected argument {a:?}"));
+                }
+                args.positional.push(a.clone());
+            } else if let Some(name) = Spec::names(spec.flags).find(|n| n == a) {
+                args.flags.insert(name);
+            } else if let Some(name) = Spec::names(spec.values).find(|n| n == a) {
+                match it.next() {
+                    Some(v) if !v.starts_with("--") => {
+                        args.values.entry(name).or_insert_with(|| v.clone());
+                    }
+                    _ => return Err(format!("{a} needs a value")),
+                }
+            } else {
+                let known = Spec::names(spec.values).chain(Spec::names(spec.flags));
+                return Err(match known.min_by_key(|n| levenshtein(n, a)) {
+                    Some(n) if levenshtein(n, a) <= 3 => {
+                        format!("unknown flag {a}; did you mean {n}?")
+                    }
+                    _ => format!("unknown flag {a}"),
+                });
+            }
+        }
+        Ok(args)
+    }
+
     fn opt(&self, name: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.0.get(i + 1))
-            .map(|s| s.as_str())
+        self.values.get(name).map(|s| s.as_str())
     }
 
     fn flag(&self, name: &str) -> bool {
-        self.0.iter().any(|a| a == name)
+        self.flags.contains(name)
     }
 
     /// Parses `name`'s value, exiting with a usage error if it does
@@ -162,6 +280,15 @@ impl Args {
                 exit(2);
             })
         })
+    }
+
+    /// The subcommand's one positional argument (a file path); any
+    /// other count is a usage error.
+    fn path(&self) -> &str {
+        match self.positional.as_slice() {
+            [p] => p,
+            _ => usage(),
+        }
     }
 }
 
@@ -313,6 +440,10 @@ fn run_config(args: &Args, mut cfg: CampaignConfig) -> CampaignConfig {
     cfg.sanitize = !args.flag("--no-sanitize");
     cfg.diff_oracle = args.flag("--diff-oracle");
     cfg.san_diff = args.flag("--san-diff");
+    if cfg.san_diff && !cfg.sanitize {
+        eprintln!("--san-diff cannot be combined with --no-sanitize (the dual run compares a sanitized execution with an unsanitized one)");
+        exit(2);
+    }
     if let Some(spec) = args.opt("--san-defect") {
         cfg.san_defects = parse_san_defects(spec);
         if !cfg.san_diff {
@@ -387,64 +518,44 @@ fn cmd_fuzz(args: &Args) {
         }
     );
 
-    // The serial path cannot export a snapshot (it folds batch outputs
-    // as it goes), so `--corpus-out` routes through the scheduler even
-    // at one worker — by design that is bit-identical.
-    let (r, registry): (CampaignResult, Registry) = if workers > 1 || corpus_out.is_some() {
-        let mut pcfg = ParallelConfig::new(workers);
-        pcfg.stats_every = stats_every;
-        pcfg.trace = trace_path.is_some();
-        pcfg.snapshot = corpus_out.is_some();
-        if let Some(s) = args.parsed("--chaos") {
-            pcfg.chaos = s;
-        }
-        let outcome = run_sharded(&cfg, &pcfg);
-        if let (Some(path), Some(trace)) = (trace_path, &outcome.trace) {
-            std::fs::write(path, trace).unwrap_or_else(|e| {
-                eprintln!("cannot write trace file {path}: {e}");
-                exit(1);
-            });
-        }
-        if let (Some(path), Some(snap)) = (corpus_out, &outcome.snapshot) {
-            std::fs::write(path, snap.to_json()).unwrap_or_else(|e| {
-                eprintln!("cannot write corpus snapshot {path}: {e}");
-                exit(1);
-            });
-            eprintln!(
-                "corpus snapshot written to {path} ({} entries, {} coverage points)",
-                snap.corpus_len(),
-                snap.coverage().len()
-            );
-        }
-        for w in &outcome.workers {
-            eprintln!(
-                "worker {}: batches {} ({} stolen)  iters {}  accepted {}  findings {}  {:.2}s",
-                w.worker,
-                w.batches,
-                w.stolen,
-                w.iterations,
-                w.accepted,
-                w.findings,
-                w.wall_ns as f64 / 1e9
-            );
-        }
-        (outcome.result, outcome.registry)
-    } else {
-        let sink: Box<dyn TraceSink> = match trace_path {
-            Some(path) => {
-                let f = std::fs::File::create(path).unwrap_or_else(|e| {
-                    eprintln!("cannot create trace file {path}: {e}");
-                    exit(1);
-                });
-                Box::new(JsonlSink::new(std::io::BufWriter::new(f)))
-            }
-            None => Box::new(NullSink),
-        };
-        let mut tel = Telemetry::new(sink).with_progress_every(stats_every);
-        let r = run_campaign_with_telemetry(&cfg, &mut tel);
-        let registry = std::mem::take(&mut tel.registry);
-        (r, registry)
+    let pcfg = ParallelConfig {
+        stats_every,
+        trace: trace_path.is_some(),
+        chaos: args.parsed("--chaos").unwrap_or(0),
+        snapshot: corpus_out.is_some(),
+        ..ParallelConfig::new(workers)
     };
+    let outcome = run_sharded(&cfg, &pcfg);
+    if let (Some(path), Some(trace)) = (trace_path, &outcome.trace) {
+        std::fs::write(path, trace).unwrap_or_else(|e| {
+            eprintln!("cannot write trace file {path}: {e}");
+            exit(1);
+        });
+    }
+    if let (Some(path), Some(snap)) = (corpus_out, &outcome.snapshot) {
+        std::fs::write(path, snap.to_json()).unwrap_or_else(|e| {
+            eprintln!("cannot write corpus snapshot {path}: {e}");
+            exit(1);
+        });
+        eprintln!(
+            "corpus snapshot written to {path} ({} entries, {} coverage points)",
+            snap.corpus_len(),
+            snap.coverage().len()
+        );
+    }
+    for w in &outcome.workers {
+        eprintln!(
+            "worker {}: batches {} ({} stolen)  iters {}  accepted {}  findings {}  {:.2}s",
+            w.worker,
+            w.batches,
+            w.stolen,
+            w.iterations,
+            w.accepted,
+            w.findings,
+            w.wall_ns as f64 / 1e9
+        );
+    }
+    let (r, registry) = (outcome.result, outcome.registry);
     println!(
         "iterations {}  accepted {} ({:.1}%)  coverage {}  corpus {}",
         r.iterations,
@@ -909,9 +1020,14 @@ fn print_snapshot_summary(snap: &CorpusSnapshot) {
     );
 }
 
-fn cmd_corpus(args: &Args, argv: &[String]) {
-    match argv.get(1).map(|s| s.as_str()) {
-        Some("export") => {
+fn cmd_corpus(args: &Args) {
+    match args
+        .positional
+        .iter()
+        .map(|s| s.as_str())
+        .collect::<Vec<_>>()[..]
+    {
+        ["export"] => {
             let Some(out) = args.opt("--out") else {
                 eprintln!("corpus export needs --out FILE");
                 exit(2);
@@ -928,15 +1044,11 @@ fn cmd_corpus(args: &Args, argv: &[String]) {
             print_snapshot_summary(&snap);
             println!("saved {out}");
         }
-        Some("import") => {
-            let inputs: Vec<&String> = argv[2..]
-                .iter()
-                .take_while(|a| !a.starts_with("--"))
-                .collect();
-            if inputs.is_empty() {
-                eprintln!("corpus import needs at least one snapshot file");
-                exit(2);
-            }
+        ["import"] => {
+            eprintln!("corpus import needs at least one snapshot file");
+            exit(2);
+        }
+        ["import", ref inputs @ ..] => {
             let snaps: Vec<CorpusSnapshot> = inputs.iter().map(|p| load_snapshot(p)).collect();
             let merged = CorpusSnapshot::merge(snaps).unwrap_or_else(|e| {
                 eprintln!("corpus import: {e}");
@@ -951,10 +1063,7 @@ fn cmd_corpus(args: &Args, argv: &[String]) {
                 println!("saved {out}");
             }
         }
-        Some("info") => match argv.get(2) {
-            Some(path) => print_snapshot_summary(&load_snapshot(path)),
-            None => usage(),
-        },
+        ["info", path] => print_snapshot_summary(&load_snapshot(path)),
         _ => usage(),
     }
 }
@@ -1064,33 +1173,65 @@ fn cmd_report(path: &str) {
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = argv.first().map(|s| s.as_str()) else {
+    let Some((cmd, rest)) = argv.split_first() else {
         usage()
     };
-    let args = Args(argv.clone());
-    match cmd {
+    let Some(spec) = Spec::of(cmd, rest.first().map(|s| s.as_str())) else {
+        usage()
+    };
+    let args = Args::parse(&spec, rest).unwrap_or_else(|e| {
+        eprintln!("bvf {cmd}: {e}");
+        exit(2);
+    });
+    match cmd.as_str() {
         "fuzz" => cmd_fuzz(&args),
         "serve" => cmd_serve(&args),
         "worker" => cmd_worker(&args),
-        "replay" => match argv.get(1) {
-            Some(p) if !p.starts_with("--") => cmd_replay(&args, p),
-            _ => usage(),
-        },
-        "minimize" => match argv.get(1) {
-            Some(p) if !p.starts_with("--") => cmd_minimize(&args, p),
-            _ => usage(),
-        },
-        "disasm" => match argv.get(1) {
-            Some(p) => cmd_disasm(p),
-            None => usage(),
-        },
-        "report" => match argv.get(1) {
-            Some(p) if !p.starts_with("--") => cmd_report(p),
-            _ => usage(),
-        },
-        "corpus" => cmd_corpus(&args, &argv),
+        "replay" => cmd_replay(&args, args.path()),
+        "minimize" => cmd_minimize(&args, args.path()),
+        "disasm" => cmd_disasm(args.path()),
+        "report" => cmd_report(args.path()),
+        "corpus" => cmd_corpus(&args),
         "sancheck" => cmd_sancheck(&args),
         "bugs" => cmd_bugs(),
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(cmd: &str, argv: &[&str]) -> Result<Args, String> {
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        let spec = Spec::of(cmd, argv.first().map(|s| s.as_str())).expect("known subcommand");
+        Args::parse(&spec, &argv)
+    }
+
+    #[test]
+    fn declared_flags_parse() {
+        let args = parse("replay", &["f.json", "--bugs", "none", "--diff-oracle"]).unwrap();
+        assert_eq!(args.positional, ["f.json"]);
+        assert_eq!(args.opt("--bugs"), Some("none"));
+        assert!(args.flag("--diff-oracle") && !args.flag("--san-diff"));
+        let args = parse("corpus", &["import", "a.json", "b.json", "--out", "m.json"]).unwrap();
+        assert_eq!(args.positional, ["import", "a.json", "b.json"]);
+        assert_eq!(args.opt("--out"), Some("m.json"));
+    }
+
+    #[test]
+    fn unknown_flags_missing_values_and_stray_arguments_are_errors() {
+        let e = parse("replay", &["f.json", "--diff-orcale"]).err().unwrap();
+        assert!(e.contains("did you mean --diff-oracle"), "{e}");
+        let e = parse("replay", &["f.json", "--diff-oracle", "--bugs"])
+            .err()
+            .unwrap();
+        assert!(e.contains("--bugs needs a value"), "{e}");
+        let e = parse("fuzz", &["--bugs", "--diff-oracle"]).err().unwrap();
+        assert!(e.contains("--bugs needs a value"), "{e}");
+        assert!(parse("fuzz", &["--iters", "10", "extra"]).is_err());
+        // A flag belongs to the subcommands that read it.
+        assert!(parse("replay", &["f.json", "--workers", "2"]).is_err());
+        assert!(parse("corpus", &["import", "a.json", "--iters", "5"]).is_err());
     }
 }

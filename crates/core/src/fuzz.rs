@@ -449,12 +449,12 @@ pub fn seed_generations(cfg: &CampaignConfig, batch: usize) -> usize {
 }
 
 /// Cross-batch finding dedup hook consulted by [`CampaignWorker::step`]
-/// the moment a *locally* fresh signature appears. The serial driver
-/// uses [`SerialDedup`]; the parallel orchestrator shares a sharded
-/// concurrent signature set between workers. Either way only the first
-/// claimant pays for differential triage — [`merge_batches`] re-triages
-/// surviving claim losers, so merged results are independent of claim
-/// order.
+/// the moment a *locally* fresh signature appears. Every scheduler
+/// keeps one claim set per campaign: the local drivers share one
+/// [`SerialDedup`] between their workers, and a fabric coordinator
+/// keeps one set per submitted campaign. Only the first claimant pays
+/// for differential triage — [`merge_batches`] re-triages surviving
+/// claim losers, so merged results are independent of claim order.
 pub trait GlobalDedup: Sync {
     /// Claims `sig` globally; returns `true` iff this caller is the
     /// first in the whole campaign to claim it (and should therefore
@@ -462,19 +462,11 @@ pub trait GlobalDedup: Sync {
     fn claim(&self, sig: &str) -> bool;
 }
 
-/// The trivial dedup: every locally fresh signature is globally fresh.
-/// Only appropriate when a single batch runs in isolation (unit tests).
-pub struct NoGlobalDedup;
-
-impl GlobalDedup for NoGlobalDedup {
-    fn claim(&self, _sig: &str) -> bool {
-        true
-    }
-}
-
-/// Campaign-wide signature claims for the serial driver: a plain
-/// mutex-guarded set, probing before insert so the already-present path
-/// allocates nothing.
+/// One campaign's signature claims, shared by every worker of a local
+/// campaign (serial or work-stealing): a plain mutex-guarded set,
+/// probing before insert so the already-present path allocates
+/// nothing. A campaign makes a few claims per lease batch, so one lock
+/// does not contend.
 #[derive(Default)]
 pub struct SerialDedup(Mutex<HashSet<String>>);
 
@@ -678,14 +670,17 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignResult {
     run_campaign_with_telemetry(cfg, &mut Telemetry::null())
 }
 
-/// Runs one fuzzing campaign, recording metrics, trace events, and live
-/// progress into `tel`.
+/// Runs one fuzzing campaign, recording metrics and trace events into
+/// `tel`.
 ///
 /// This is the reference serial schedule: lease batches executed in
 /// order against one [`CorpusLedger`], one [`SerialDedup`], and one
 /// reusable [`ExecScratch`], then folded by [`merge_batches`]. Any
 /// other schedule of the same batches merges to a bit-identical
-/// [`CampaignResult`].
+/// [`CampaignResult`]. The `bvf` CLI drives campaigns through the
+/// work-stealing scheduler instead (at any worker count); this
+/// function is the library reference the determinism tests and the
+/// benchmark call.
 ///
 /// Telemetry is strictly observational: no campaign decision (corpus
 /// retention, dedup, triage) reads a timestamp or metric back, so the
@@ -697,26 +692,11 @@ pub fn run_campaign_with_telemetry(cfg: &CampaignConfig, tel: &mut Telemetry) ->
     let mut scratch = ExecScratch::new();
     let batches = batch_count(cfg);
     let mut outputs = Vec::with_capacity(batches);
-    let mut cum_accepted = 0usize;
-    let mut cum_findings = 0usize;
-    let mut cov_union = Coverage::new();
     for b in 0..batches {
         let seed = ledger.seed_for(cfg, b);
         let mut w = CampaignWorker::lease(cfg.clone(), b, seed);
-        while w.step(tel, &dedup, &mut scratch) {
-            tel.progress(
-                w.last_iter(),
-                cfg.iterations,
-                cum_accepted + w.accepted(),
-                cov_union.len().max(w.coverage_points()),
-                cum_findings + w.findings_count(),
-                w.corpus_size(),
-            );
-        }
+        while w.step(tel, &dedup, &mut scratch) {}
         let out = w.into_output();
-        cum_accepted += out.accepted;
-        cum_findings += out.findings.len();
-        cov_union.merge(&out.cov_delta);
         ledger.publish(b, out.ledger_entry());
         outputs.push(out);
     }
@@ -1573,6 +1553,31 @@ mod tests {
         assert!(d.claim("sig-a"));
         assert!(!d.claim("sig-a"));
         assert!(d.claim("sig-b"));
+    }
+
+    #[test]
+    fn serial_dedup_first_claim_wins_exactly_once() {
+        // Signatures as findings spell them: `<Kind>:<oracle>`.
+        let d = SerialDedup::default();
+        assert!(d.claim("One:kasan"));
+        assert!(!d.claim("One:kasan"));
+        assert!(d.claim("Two:lockdep"));
+        assert!(!d.claim("Two:lockdep"));
+        assert_eq!(d.0.lock().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn serial_dedup_concurrent_claims_have_one_winner_per_signature() {
+        // The work-stealing scheduler shares one set between threads.
+        let d = SerialDedup::default();
+        let sigs: Vec<String> = (0..64).map(|i| format!("sig-{i}")).collect();
+        let wins: usize = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| sigs.iter().filter(|sig| d.claim(sig)).count()))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        assert_eq!(wins, sigs.len(), "every signature is won exactly once");
     }
 
     #[test]

@@ -17,10 +17,16 @@
 //! results are bit-identical to a local `--workers N` run at any churn
 //! interleaving.
 //!
+//! Each campaign keeps its own finding-signature claim set, exactly as
+//! a local campaign shares one [`SerialDedup`] between its threads. The
+//! set lives as long as the campaign's scheduling state and is dropped
+//! at the merge, so no campaign's claims reach another's.
+//!
 //! [`stream_seed`]: bvf::fuzz::stream_seed
 //! [`CorpusLedger::ready_for`]: bvf::fuzz::CorpusLedger::ready_for
+//! [`SerialDedup`]: bvf::fuzz::SerialDedup
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::io;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
@@ -35,18 +41,15 @@ use crate::proto::{
     CampaignStatus, CorpusDelta, FrameConn, LeaseGrant, Request, Response, Role, FABRIC_MAGIC,
     FABRIC_VERSION,
 };
-use crate::store::DedupStore;
 use crate::FabricError;
 
-/// Name of the append-only dedup claims log inside the state dir.
-pub const DEDUP_LOG: &str = "dedup.sigs";
 /// Name of the counters dump written on graceful shutdown.
 pub const COUNTERS_FILE: &str = "fabric-counters.json";
 
 /// Coordinator tuning.
 pub struct CoordinatorOptions {
-    /// State directory: holds the persistent dedup claims log and
-    /// per-campaign stats dumps. `None` keeps everything in memory.
+    /// State directory: receives each merged campaign's stats dump and
+    /// the counters dump on shutdown. `None` writes nothing.
     pub state_dir: Option<PathBuf>,
     /// A lease not extended or completed within this window is reaped
     /// and re-issued.
@@ -87,6 +90,8 @@ struct Campaign {
     leases: BTreeMap<usize, LeaseInfo>,
     /// Completed outputs, indexed by batch id.
     outputs: Vec<Option<BatchOutput>>,
+    /// Finding signatures claimed so far; emptied at the merge.
+    claims: HashSet<String>,
     done: usize,
     /// Running tallies over completed batches (the status surface).
     iterations: usize,
@@ -106,6 +111,7 @@ impl Campaign {
             pending: (0..total).collect(),
             leases: BTreeMap::new(),
             outputs: (0..total).map(|_| None).collect(),
+            claims: HashSet::new(),
             done: 0,
             iterations: 0,
             accepted: 0,
@@ -162,7 +168,6 @@ struct State {
 
 struct Shared {
     state: Mutex<State>,
-    dedup: DedupStore,
     lease_timeout: Duration,
     state_dir: Option<PathBuf>,
 }
@@ -174,17 +179,12 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// Binds to `addr` and prepares the state directory (created if
-    /// missing; the dedup claims log inside it is reloaded).
+    /// Binds to `addr` and creates the state directory if missing.
     pub fn bind<A: ToSocketAddrs>(addr: A, opts: CoordinatorOptions) -> io::Result<Coordinator> {
         let listener = TcpListener::bind(addr)?;
-        let dedup = match &opts.state_dir {
-            Some(dir) => {
-                std::fs::create_dir_all(dir)?;
-                DedupStore::persistent(&dir.join(DEDUP_LOG))?
-            }
-            None => DedupStore::in_memory(),
-        };
+        if let Some(dir) = &opts.state_dir {
+            std::fs::create_dir_all(dir)?;
+        }
         Ok(Coordinator {
             listener,
             shared: Arc::new(Shared {
@@ -196,7 +196,6 @@ impl Coordinator {
                     campaigns: BTreeMap::new(),
                     shutdown: false,
                 }),
-                dedup,
                 lease_timeout: opts.lease_timeout,
                 state_dir: opts.state_dir,
             }),
@@ -358,16 +357,18 @@ fn dispatch(shared: &Shared, session: u64, req: Request) -> Response {
                 });
             Response::Extended { keep }
         }
-        Request::Claim { signature } => {
-            let first = match shared.dedup.claim(&signature) {
-                Ok(first) => first,
-                Err(e) => {
-                    return Response::Error {
-                        reason: format!("dedup store: {e}"),
-                    }
-                }
-            };
+        Request::Claim {
+            campaign,
+            signature,
+        } => {
             let mut state = shared.state.lock().unwrap();
+            let state = &mut *state;
+            let Some(c) = state.campaigns.get_mut(&campaign) else {
+                return Response::Unknown { campaign };
+            };
+            // A straggler's claim after the merge is moot: its output
+            // will be dropped as a duplicate.
+            let first = c.finished.is_none() && c.claims.insert(signature);
             state.counters.claims += 1;
             if first {
                 state.counters.claims_first += 1;
@@ -505,8 +506,8 @@ fn complete_batch(shared: &Shared, campaign: u64, output: BatchOutput) -> Respon
 }
 
 /// Merges a fully completed campaign (re-triaging claim losers — this
-/// is where remote-dedup outcomes stop mattering) and persists its
-/// stats to the state dir.
+/// is where claim outcomes stop mattering), drops its claim set, and
+/// persists its stats to the state dir.
 fn finalize_campaign(
     c: &mut Campaign,
     id: u64,
@@ -514,6 +515,7 @@ fn finalize_campaign(
     state_dir: Option<&std::path::Path>,
 ) {
     let outputs: Vec<BatchOutput> = c.outputs.iter_mut().map(|o| o.take().unwrap()).collect();
+    c.claims = HashSet::new();
     let (result, merge_stats) = merge_batches(&c.cfg, outputs);
     let mut registry = Registry::new();
     counters.publish_into(&mut registry);
@@ -521,7 +523,7 @@ fn finalize_campaign(
         "merge.cross_batch_dupes",
         merge_stats.cross_batch_dupes as u64,
     );
-    registry.add("merge.merge_triaged", merge_stats.merge_triaged as u64);
+    registry.add("merge.triaged", merge_stats.merge_triaged as u64);
     let stats = result.to_stats(c.cfg.seed, registry);
     if let Some(dir) = state_dir {
         if let Ok(json) = serde_json::to_string_pretty(&stats) {

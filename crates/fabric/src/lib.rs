@@ -9,15 +9,15 @@
 //! - the exchange hub's sequence-numbered **corpus deltas** become
 //!   streamed [`proto::CorpusDelta`] frames a worker folds into a
 //!   mirrored [`CorpusLedger`];
-//! - the sharded signature set becomes a **persistent dedup store**
-//!   ([`store::DedupStore`]) serving many concurrent campaigns across
-//!   coordinator restarts.
+//! - the campaign's shared signature claim set becomes a per-campaign
+//!   set on the coordinator, claimed with [`proto::Request::Claim`] and
+//!   dropped when the campaign merges.
 //!
 //! Determinism is inherited, not re-proven: a batch's output is a pure
 //! function of `(CampaignConfig, batch id, seed view)`, and the
 //! coordinator only grants batches whose seed generations have fully
 //! published — so worker churn, lease re-issue, duplicate completions,
-//! and cross-campaign dedup claims all merge to results **bit-identical**
+//! and claim races all merge to results **bit-identical**
 //! to a local `--workers N` run. See `DESIGN.md` §6 for the full
 //! argument.
 //!
@@ -28,12 +28,10 @@
 pub mod client;
 pub mod coordinator;
 pub mod proto;
-pub mod store;
 pub mod worker;
 
 pub use client::{Client, RemoteOutcome};
 pub use coordinator::{Coordinator, CoordinatorOptions};
-pub use store::DedupStore;
 pub use worker::{run_worker, WorkerOptions, WorkerReport};
 
 use std::fmt;

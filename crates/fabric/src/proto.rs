@@ -26,7 +26,7 @@ use bvf_telemetry::CampaignStats;
 pub const FABRIC_MAGIC: &str = "bvf-fabric";
 
 /// Protocol version; bumped on any frame-shape change.
-pub const FABRIC_VERSION: u32 = 2;
+pub const FABRIC_VERSION: u32 = 3;
 
 /// Hard cap on one frame's body, to bound allocation on a corrupt or
 /// hostile length prefix. Corpus-delta grants dominate frame size and
@@ -128,11 +128,14 @@ pub enum Request {
         /// Leased batch id.
         batch: usize,
     },
-    /// Worker: claim a finding signature in the fabric-wide persistent
-    /// dedup store (the remote [`GlobalDedup`]).
+    /// Worker: claim a finding signature in the campaign's claim set
+    /// (the remote [`GlobalDedup`]). An unknown campaign is answered
+    /// with [`Response::Unknown`].
     ///
     /// [`GlobalDedup`]: bvf::fuzz::GlobalDedup
     Claim {
+        /// Campaign id.
+        campaign: u64,
         /// The finding's dedup signature.
         signature: String,
     },
@@ -198,9 +201,8 @@ pub enum Response {
     },
     /// Answer to [`Request::Claim`].
     Claimed {
-        /// Whether this claim was the first for the signature across
-        /// the whole store (campaigns and coordinator restarts
-        /// included, when the store is persistent).
+        /// Whether this claim was the first for the signature in its
+        /// campaign.
         first: bool,
     },
     /// Answer to [`Request::Complete`].
@@ -236,7 +238,8 @@ pub enum Response {
     },
     /// Acknowledges [`Request::Shutdown`].
     Bye,
-    /// The request could not be served (e.g. dedup-store I/O failure).
+    /// The request could not be served (e.g. a completion for a batch
+    /// id beyond the campaign).
     Error {
         /// Human-readable failure description.
         reason: String,

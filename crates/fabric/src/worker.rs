@@ -77,11 +77,13 @@ struct MirroredCampaign {
 }
 
 /// The remote [`GlobalDedup`]: claims go through a synchronous RPC on
-/// the worker's connection. A transport failure mid-claim records the
-/// error and reports the claim as won — the batch's output will never
-/// be submitted on the broken connection, so the answer is moot.
+/// the worker's connection, against the leased campaign's claim set. A
+/// failed claim (transport error or unexpected answer) records the
+/// failure and reports the claim as won — the worker then gives up
+/// the connection without submitting the batch, so the answer is moot.
 struct RemoteDedup<'a> {
     conn: &'a Mutex<FrameConn>,
+    campaign: u64,
     failed: AtomicBool,
 }
 
@@ -89,6 +91,7 @@ impl GlobalDedup for RemoteDedup<'_> {
     fn claim(&self, sig: &str) -> bool {
         let mut conn = self.conn.lock().unwrap();
         match conn.rpc(&Request::Claim {
+            campaign: self.campaign,
             signature: sig.to_string(),
         }) {
             Ok(Response::Claimed { first }) => first,
@@ -173,6 +176,7 @@ pub fn run_worker(
             .map(|_| (w.len() / 2).max(1));
         let dedup = RemoteDedup {
             conn: &conn,
+            campaign: grant.campaign,
             failed: AtomicBool::new(false),
         };
         let mut tel = Telemetry::null();
@@ -180,9 +184,7 @@ pub fn run_worker(
         let mut extended_at = Instant::now();
         while w.step(&mut tel, &dedup, &mut scratch) {
             if dedup.failed.load(Ordering::Relaxed) {
-                return Err(FabricError::Protocol(
-                    "connection lost during dedup claim".to_string(),
-                ));
+                return Err(FabricError::Protocol("dedup claim failed".to_string()));
             }
             if churn_at.is_some_and(|n| w.done() >= n) {
                 // Simulated crash: drop the connection mid-batch.

@@ -99,6 +99,7 @@ fn every_frame_type_round_trips() {
             batch: 9,
         },
         Request::Claim {
+            campaign: 1,
             signature: "One:kasan".to_string(),
         },
         Request::Complete {
@@ -158,7 +159,7 @@ fn every_frame_type_round_trips() {
         Response::Unknown { campaign: 99 },
         Response::Bye,
         Response::Error {
-            reason: "dedup store: disk full".to_string(),
+            reason: "batch 9 out of range (campaign has 4)".to_string(),
         },
     ];
     for resp in &responses {
@@ -505,4 +506,99 @@ fn kill_and_rejoin_mid_campaign_is_byte_identical() {
         serde_json::to_string(&outcome.findings).unwrap(),
         serde_json::to_string(&local.findings).unwrap()
     );
+}
+
+#[test]
+fn repeated_campaign_is_byte_identical_and_retriages_nothing() {
+    // One steady worker runs the batches in order, so every finding's
+    // first claim is its earliest occurrence and the merge re-triages
+    // nothing. The same config submitted again must get a fresh claim
+    // set: claims that outlived the first campaign once made the second
+    // one lose every claim and re-triage all its findings at the merge,
+    // inside the coordinator's state lock.
+    let cfg = small_config(256, 7);
+    let local = run_campaign(&cfg);
+    let local_stats = local.to_stats(cfg.seed, Registry::new());
+    assert!(!local.findings.is_empty(), "the seed must find something");
+
+    let (addr, serve) = spawn_coordinator(CoordinatorOptions::default());
+    let stop = Arc::new(AtomicBool::new(false));
+    let handles = spawn_steady_workers(&addr, 1, &stop);
+    let mut client = Client::connect(&addr).unwrap();
+    let runs: Vec<_> = (0..2)
+        .map(|_| {
+            client
+                .run_to_completion(cfg.clone(), Duration::from_millis(10), |_| {})
+                .unwrap()
+        })
+        .collect();
+    stop.store(true, Ordering::Relaxed);
+    for h in handles {
+        h.join().unwrap();
+    }
+    client.shutdown().unwrap();
+    serve.join().unwrap();
+
+    for (k, run) in runs.iter().enumerate() {
+        assert_eq!(
+            stats_sans_metrics(&run.stats),
+            stats_sans_metrics(&local_stats),
+            "campaign {k}"
+        );
+        assert_eq!(
+            serde_json::to_string(&run.findings).unwrap(),
+            serde_json::to_string(&local.findings).unwrap(),
+            "campaign {k}"
+        );
+        assert_eq!(
+            run.stats.metrics.counters.get("merge.triaged"),
+            Some(&0),
+            "campaign {k} re-triaged findings at the merge"
+        );
+    }
+}
+
+#[test]
+fn claims_are_scoped_to_their_campaign() {
+    let (addr, serve) = spawn_coordinator(CoordinatorOptions::default());
+    let mut client = Client::connect(&addr).unwrap();
+    // No worker is attached, so both campaigns stay open.
+    let a = client.submit(small_config(96, 1)).unwrap();
+    let b = client.submit(small_config(96, 1)).unwrap();
+
+    let mut conn = FrameConn::connect(&addr).unwrap();
+    assert!(matches!(
+        conn.rpc(&Request::Hello {
+            magic: FABRIC_MAGIC.to_string(),
+            version: FABRIC_VERSION,
+            role: Role::Worker,
+        })
+        .unwrap(),
+        Response::Welcome { .. }
+    ));
+    let mut claim = |campaign: u64| match conn
+        .rpc(&Request::Claim {
+            campaign,
+            signature: "One:kasan".to_string(),
+        })
+        .unwrap()
+    {
+        Response::Claimed { first } => Some(first),
+        Response::Unknown { campaign: c } => {
+            assert_eq!(c, campaign);
+            None
+        }
+        other => panic!("expected Claimed or Unknown, got {other:?}"),
+    };
+    assert_eq!(claim(a), Some(true));
+    assert_eq!(claim(a), Some(false));
+    // The other campaign's set is its own.
+    assert_eq!(claim(b), Some(true));
+    assert_eq!(claim(b + 100), None);
+    drop(conn);
+
+    let counters = client.counters().unwrap();
+    assert_eq!((counters.claims, counters.claims_first), (3, 2));
+    client.shutdown().unwrap();
+    serve.join().unwrap();
 }

@@ -363,8 +363,8 @@ impl TraceSink for NullSink {
 /// A parallel campaign gives every worker its own `JsonlSink` tagged
 /// with [`JsonlSink::with_worker`] and anchored to one shared epoch via
 /// [`JsonlSink::with_epoch`], so per-worker streams carry comparable
-/// timestamps and the orchestrator can interleave them into a single
-/// worker-attributed trace.
+/// timestamps and the orchestrator can concatenate them, batch by
+/// batch, into a single worker-attributed trace.
 pub struct JsonlSink<W: Write> {
     w: W,
     epoch: Instant,
